@@ -52,13 +52,10 @@ from .problems import (
     CountingOracle,
     GaussianOracle,
     KnownSolution,
-    OracleSample,
     ProblemConstants,
     RandomStream,
     estimate_constants,
     eval_constraints,
-    sample_sfo,
-    sample_szo,
     spectral_norm,
 )
 from .sfo import (
@@ -78,7 +75,6 @@ from .subsolvers import (
     DEFAULT_PROX_TOL,
     BallSubproblemResult,
     ProxResult,
-    generalized_gradient,
     phi,
     prox_step,
     theta,

@@ -437,7 +437,8 @@ def monte_carlo(
     quantity names to scalars.  Replications execute in ``order`` (default
     ascending), but aggregation always iterates replication ids in
     ascending order, so the estimates are bit-identical under any
-    execution order.  Failed replications are recorded and skipped; the
+    execution order.  Failed replications (a ``SpenError``, or a numeric
+    ``LinAlgError`` or ``ArithmeticError``) are recorded and skipped; the
     result is flagged partial when more than 5% fail.
     """
     if reps < 30:
@@ -450,7 +451,7 @@ def monte_carlo(
     for rep in schedule:
         try:
             outcomes[rep] = dict(run_fn(rep, stream.child(rep)))
-        except SpenError as err:
+        except (SpenError, np.linalg.LinAlgError, ArithmeticError) as err:
             failures.append((rep, f"{type(err).__name__}: {err}"))
     failures.sort(key=lambda pair: pair[0])
     if not outcomes:

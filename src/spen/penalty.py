@@ -229,24 +229,27 @@ def steer_penalty(
     SteeringError
         If the condition still fails after the doubling cap, which signals
         inconsistent subsolver tolerances.
+    SubsolverError
+        If theta or phi comes out non-finite, which no level can repair.
     """
     if not 0.0 < xi < 1.0:
         raise ConfigError(f"xi must lie in (0,1), got {xi}")
     if tau <= 0.0:
         raise ConfigError(f"tau must be > 0, got {tau}")
     c, jac = eval_constraints(problem, state.x)
-    th = theta(c, jac, tol).measure
+    th = _finite_measure("theta", theta(c, jac, tol).measure)
+
+    def phi_at(rho_val):
+        return _finite_measure("phi", phi(state.G, c, jac, rho_val, tol).measure)
+
     candidate = state.rho + tau
-    if th <= tol:
-        ph = phi(state.G, c, jac, candidate, tol).measure
-        return SteeringResult(rho=candidate, theta=th, phi=ph, attempts=1)
-    ph = phi(state.G, c, jac, candidate, tol).measure
-    if ph >= candidate * xi * th - tol:
+    ph = phi_at(candidate)
+    if th <= tol or ph >= candidate * xi * th - tol:
         return SteeringResult(rho=candidate, theta=th, phi=ph, attempts=1)
     g_norm = float(np.linalg.norm(state.G))
     rho_val = max(candidate, g_norm / ((1.0 - xi) * th))
     for attempt in range(MAX_STEER_DOUBLINGS + 1):
-        ph = phi(state.G, c, jac, rho_val, tol).measure
+        ph = phi_at(rho_val)
         if ph >= rho_val * xi * th - tol:
             return SteeringResult(rho=rho_val, theta=th, phi=ph, attempts=attempt + 2)
         rho_val *= 2.0
@@ -254,6 +257,12 @@ def steer_penalty(
         f"steering condition still failing at rho={rho_val:.6g} after "
         f"{MAX_STEER_DOUBLINGS} doublings; subsolver tolerances are inconsistent"
     )
+
+
+def _finite_measure(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise SubsolverError(f"steering measure {name} is non-finite ({value})")
+    return value
 
 
 def subproblem_budget_for_rho(

@@ -10,6 +10,7 @@ any order, or concurrently, without changing any draw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -19,15 +20,12 @@ from .errors import ConfigError, DomainError, OracleKindError
 
 __all__ = [
     "RandomStream",
-    "OracleSample",
     "ProblemConstants",
     "GaussianOracle",
     "CountingOracle",
     "KnownSolution",
     "ConstrainedProblem",
     "eval_constraints",
-    "sample_sfo",
-    "sample_szo",
     "estimate_constants",
     "spectral_norm",
 ]
@@ -51,15 +49,6 @@ class RandomStream:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
         return np.random.default_rng(ss)
-
-
-@dataclass(frozen=True)
-class OracleSample:
-    """One oracle draw: kind is ``"sfo"`` (gradient) or ``"szo"`` (value)."""
-
-    kind: str
-    payload: np.ndarray | float
-    seed_path: tuple[int, ...]
 
 
 @dataclass
@@ -154,10 +143,9 @@ class GaussianOracle:
         if self._grad is None:
             raise OracleKindError("oracle provides no gradient (SFO) samples")
         g = np.asarray(self._grad(x), dtype=float)
-        out = np.broadcast_to(g, (m, g.size)).copy()
         if self.sigma > 0.0:
-            out += (self.sigma / np.sqrt(g.size)) * rng.standard_normal((m, g.size))
-        return out
+            return g + (self.sigma / math.sqrt(g.size)) * rng.standard_normal((m, g.size))
+        return np.tile(g, (m, 1))
 
     def sample_value(self, x: np.ndarray, rng: np.random.Generator) -> float:
         if self._value is None:
@@ -291,6 +279,14 @@ def eval_constraints(problem: ConstrainedProblem, x: np.ndarray) -> tuple[np.nda
     c, jac = problem.constraints(x)
     c = np.asarray(c, dtype=float).reshape(-1)
     jac = np.asarray(jac, dtype=float)
+    # one combined test first: the sum of squares is non-finite whenever an
+    # entry is (and on overflow, which the detailed checks below let pass)
+    if (
+        c.shape == (problem.q,)
+        and jac.shape == (problem.q, problem.n)
+        and math.isfinite(c.dot(c) + jac.ravel().dot(jac.ravel()))
+    ):
+        return c, jac
     if c.shape != (problem.q,):
         raise DomainError(f"constraint value has shape {c.shape}, expected ({problem.q},)")
     if jac.shape != (problem.q, problem.n):
@@ -306,22 +302,6 @@ def eval_constraints(problem: ConstrainedProblem, x: np.ndarray) -> tuple[np.nda
             f"Jacobian entry ({int(bad[0])}, {int(bad[1])}) is non-finite at the queried point"
         )
     return c, jac
-
-
-def sample_sfo(problem: ConstrainedProblem, x: np.ndarray, stream: RandomStream) -> OracleSample:
-    """One stochastic gradient sample of the objective at ``x``."""
-    if not problem.oracle.has_gradient:
-        raise OracleKindError("problem oracle does not support SFO (gradient) sampling")
-    g = problem.oracle.sample_gradient(np.asarray(x, dtype=float), stream.generator())
-    return OracleSample(kind="sfo", payload=g, seed_path=stream.path)
-
-
-def sample_szo(problem: ConstrainedProblem, x: np.ndarray, stream: RandomStream) -> OracleSample:
-    """One stochastic value sample of the objective at ``x``."""
-    if not problem.oracle.has_value:
-        raise OracleKindError("problem oracle does not support SZO (value) sampling")
-    v = problem.oracle.sample_value(np.asarray(x, dtype=float), stream.generator())
-    return OracleSample(kind="szo", payload=v, seed_path=stream.path)
 
 
 def _grad_probe(problem: ConstrainedProblem, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -4,20 +4,22 @@ Minimizes ``Phi_h(x) = f(x) + rho*||c(x)||`` given only noisy gradients of
 ``f``: at each inner iteration a mini-batch gradient is averaged and one
 prox step of the linearized model is taken.  The returned iterate is the
 one at a randomly sampled stopping index, whose law is proportional to
-``gamma_k - L*gamma_k^2/2``.  Budget formulas translate a target accuracy
-``epsilon`` into the total oracle-call count, batch size, and step size
-that make the expected squared generalized gradient at the returned
-iterate at most ``epsilon``.
+``gamma_k - L*gamma_k^2/2``; under the constant step every budget
+prescribes, that law is uniform on the horizon.  Budget formulas
+translate a target accuracy ``epsilon`` into the total oracle-call count,
+batch size, and step size that make the expected squared generalized
+gradient at the returned iterate at most ``epsilon``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConfigError
+from .errors import ConfigError, DomainError
 from .problems import ConstrainedProblem, RandomStream, eval_constraints
 from .subsolvers import DEFAULT_PROX_TOL, prox_step
 
@@ -192,6 +194,79 @@ def batch_gradient(
     return samples.mean(axis=0)
 
 
+def _solve_inner(
+    problem: ConstrainedProblem,
+    rho: float,
+    x_init: np.ndarray,
+    budget: SolverBudget,
+    stream: RandomStream,
+    tol: float,
+    record: bool,
+    stop_index: int | None,
+    estimate: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    calls_per_batch: int,
+    kappa_g: float | None = None,
+) -> NscoRunResult:
+    """Inner loop shared by the first- and zeroth-order solvers.
+
+    ``estimate(x, rng)`` returns the batch gradient estimate at ``x`` and
+    costs ``calls_per_batch`` oracle calls.  With the constant step every
+    budget prescribes, the stopping law is uniform, so ``R`` is one integer
+    draw on ``1..N`` from ``stream.child(0)``.  Every batch of the run comes,
+    in order, from one generator on ``stream.child(1)``; a run with
+    ``stop_index=R`` therefore repeats the random-``R`` run bit for bit.
+    ``kappa_g`` turns on counting of visited iterates whose exact gradient
+    norm exceeds it, on recorded runs with an exact objective.
+    """
+    if rho < 0.0:
+        raise ConfigError(f"penalty parameter must be >= 0, got {rho}")
+    n_iters = budget.iterations
+    if stop_index is None:
+        r_stop = int(stream.child(0).generator().integers(1, n_iters + 1))
+    else:
+        r_stop = int(stop_index)
+        if not 1 <= r_stop <= n_iters:
+            raise ConfigError(f"stop index {r_stop} outside horizon 1..{n_iters}")
+    rng = stream.child(1).generator()
+    gamma = budget.gamma
+    x = np.asarray(x_init, dtype=float).copy()
+    exact = record and problem.true_objective is not None
+    traj: list[TrajectoryPoint] | None = [] if record else None
+    violations: int | None = 0 if exact and kappa_g is not None else None
+    # iteration k estimates G_k at x_k; the last one is G_R at the returned x_R
+    for k in range(1, r_stop + 1):
+        grad_est = estimate(x, rng)
+        if not np.isfinite(grad_est).all():
+            raise DomainError(f"batch gradient estimate is non-finite at inner iteration {k}")
+        if violations is not None and np.linalg.norm(problem.true_value_grad(x)[1]) > kappa_g:
+            violations += 1
+        if k == r_stop:
+            break
+        c, jac = eval_constraints(problem, x)
+        pr = prox_step(x, grad_est, c, jac, rho, gamma, tol)
+        if traj is not None:
+            phi_h = None
+            if exact:
+                phi_h = problem.true_value_grad(x)[0] + rho * float(np.linalg.norm(c))
+            traj.append(
+                TrajectoryPoint(
+                    k=k,
+                    phi_h=phi_h,
+                    grad_map_sq=float(pr.p_gamma @ pr.p_gamma),
+                    step_norm=float(np.linalg.norm(pr.d)),
+                )
+            )
+        x = pr.x_plus
+    return NscoRunResult(
+        x_R=x,
+        G_R=grad_est,
+        R=r_stop,
+        oracle_calls=calls_per_batch * r_stop,
+        trajectory=traj,
+        kappa_g_violations=violations,
+    )
+
+
 def solve_nsco_sfo(
     problem: ConstrainedProblem,
     rho: float,
@@ -205,49 +280,16 @@ def solve_nsco_sfo(
 ) -> NscoRunResult:
     """Run the stochastic first-order composite solver under a budget.
 
-    Samples the stopping index ``R`` first, performs ``R - 1`` batch
-    gradient and prox-step iterations, then evaluates one extra batch at
-    the returned iterate so that ``G_R`` matches ``x_R``.  Oracle
-    consumption is exactly ``m * R`` calls.  ``stop_index`` overrides the
-    random draw for diagnostic runs.
+    Draws the stopping index ``R`` uniformly on the horizon, performs
+    ``R - 1`` mini-batch gradient and prox-step iterations, then evaluates
+    one extra batch at the returned iterate so that ``G_R`` matches
+    ``x_R``.  Oracle consumption is exactly ``m * R`` calls.
+    ``stop_index`` overrides the random draw for diagnostic runs.  Raises
+    ``DomainError`` when a batch estimate is non-finite.
     """
     src = oracle if oracle is not None else problem.oracle
-    m, gamma = budget.m, budget.gamma
-    n_iters = budget.iterations
-    if stop_index is None:
-        pmf = stopping_pmf(np.full(n_iters, gamma), budget.L)
-        r_stop = sample_stop_index(pmf, stream.child(0))
-    else:
-        r_stop = int(stop_index)
-        if not 1 <= r_stop <= n_iters:
-            raise ConfigError(f"stop index {r_stop} outside horizon 1..{n_iters}")
-    if r_stop * m > budget.n_bar + m:
-        raise BudgetExceeded(
-            f"run would consume {r_stop * m} oracle calls against allowance {budget.n_bar}"
-        )
-
-    x = np.asarray(x_init, dtype=float).copy()
-    calls = 0
-    traj: list[TrajectoryPoint] | None = [] if record else None
-    for k in range(1, r_stop):
-        grad_est = batch_gradient(problem, x, m, stream.child(k), oracle=src)
-        calls += m
-        c, jac = eval_constraints(problem, x)
-        pr = prox_step(x, grad_est, c, jac, rho, gamma, tol)
-        if traj is not None:
-            phi_h = None
-            if problem.true_objective is not None:
-                fval, _ = problem.true_value_grad(x)
-                phi_h = fval + rho * float(np.linalg.norm(c))
-            traj.append(
-                TrajectoryPoint(
-                    k=k,
-                    phi_h=phi_h,
-                    grad_map_sq=float(pr.p_gamma @ pr.p_gamma),
-                    step_norm=float(np.linalg.norm(pr.d)),
-                )
-            )
-        x = pr.x_plus
-    grad_final = batch_gradient(problem, x, m, stream.child(r_stop), oracle=src)
-    calls += m
-    return NscoRunResult(x_R=x, G_R=grad_final, R=r_stop, oracle_calls=calls, trajectory=traj)
+    m = budget.m
+    return _solve_inner(
+        problem, rho, x_init, budget, stream, tol, record, stop_index,
+        lambda x, rng: src.gradient_batch(x, m, rng).sum(axis=0) / m, m,
+    )

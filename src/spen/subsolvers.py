@@ -16,6 +16,7 @@ trust iteration counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ __all__ = [
     "ProxResult",
     "BallSubproblemResult",
     "prox_step",
-    "generalized_gradient",
     "theta",
     "phi",
 ]
@@ -139,6 +139,13 @@ def _secular_root(w: np.ndarray, beta: np.ndarray, radius: float) -> float:
     return nu
 
 
+def _scalar_dual(a: float, b: float, radius: float) -> float:
+    """Maximize ``b*lam - a*lam^2/2`` over ``|lam| <= radius``, ``a >= 0``."""
+    if a > 0.0:
+        return min(max(b / a, -radius), radius)
+    return math.copysign(radius, b) if b != 0.0 else 0.0
+
+
 def _dual_ball_quadratic(a_mat: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     """Maximize <b, lam> - 0.5*lam' A lam over ||lam|| <= radius, A PSD.
 
@@ -149,12 +156,7 @@ def _dual_ball_quadratic(a_mat: np.ndarray, b: np.ndarray, radius: float) -> np.
     if radius == 0.0:
         return np.zeros(q)
     if q == 1:
-        a = float(a_mat[0, 0])
-        bb = float(b[0])
-        if a > 0.0:
-            lam = bb / a
-            return np.array([float(np.clip(lam, -radius, radius))])
-        return np.array([radius * np.sign(bb)]) if bb != 0.0 else np.zeros(1)
+        return np.array([_scalar_dual(float(a_mat[0, 0]), float(b[0]), radius)])
     w, q_mat = np.linalg.eigh(a_mat)
     w = np.maximum(w, 0.0)
     beta = q_mat.T @ b
@@ -210,7 +212,15 @@ def prox_step(
     Raises
     ------
     SubsolverError
-        If the certified gap exceeds ``tol``.
+        If the certified gap exceeds ``tol`` or is not a number.
+
+    Notes
+    -----
+    With one constraint row ``j`` the dual is the scalar
+    ``lam = clip(b/a, -rho, rho)`` with ``a = gamma*||j||^2`` and
+    ``b = c - gamma*<j, g>``, and, since ``d`` is built from ``lam``, the
+    gap reduces to ``rho*|t| - lam*t`` for the linearized residual
+    ``t = c + <j, d>``.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -221,20 +231,26 @@ def prox_step(
     if rho < 0.0:
         raise SubsolverError(f"penalty parameter must be >= 0, got {rho}")
 
-    a_mat = gamma * (jac @ jac.T)
-    b = c - gamma * (jac @ g)
-    lam = _dual_ball_quadratic(a_mat, b, rho)
-    d = -gamma * (g + jac.T @ lam)
-    gap = _prox_primal(d, g, c, jac, rho, gamma) - _prox_dual(lam, g, c, jac, gamma)
-    gap = max(float(gap), 0.0)
-    if gap > tol:
+    if jac.shape[0] == 1:
+        j = jac[0]
+        c0 = float(c[0])
+        lam0 = _scalar_dual(gamma * float(j.dot(j)), c0 - gamma * float(j.dot(g)), rho)
+        p_gamma = g + lam0 * j
+        d = -gamma * p_gamma
+        t = c0 + float(j.dot(d))
+        gap = rho * abs(t) - lam0 * t
+        lam = np.array([lam0])
+    else:
+        a_mat = gamma * (jac @ jac.T)
+        b = c - gamma * (jac @ g)
+        lam = _dual_ball_quadratic(a_mat, b, rho)
+        p_gamma = g + jac.T @ lam
+        d = -gamma * p_gamma
+        gap = _prox_primal(d, g, c, jac, rho, gamma) - _prox_dual(lam, g, c, jac, gamma)
+        gap = max(float(gap), 0.0)
+    if not (gap <= tol):
         raise SubsolverError(f"prox duality gap {gap:.3e} exceeds tolerance {tol:.3e}", gap=gap)
-    return ProxResult(x_plus=x + d, d=d, lam=lam, p_gamma=-d / gamma, gap=gap)
-
-
-def generalized_gradient(x: np.ndarray, x_plus: np.ndarray, gamma: float) -> np.ndarray:
-    """Generalized projected gradient ``(x - x_plus)/gamma`` of a prox step."""
-    return (np.asarray(x, dtype=float) - np.asarray(x_plus, dtype=float)) / gamma
+    return ProxResult(x_plus=x + d, d=d, lam=lam, p_gamma=p_gamma, gap=gap)
 
 
 def _theta_q1(c: np.ndarray, jac: np.ndarray, tol: float) -> BallSubproblemResult:
@@ -325,7 +341,7 @@ def theta(c: np.ndarray, jac: np.ndarray, tol: float = DEFAULT_MEASURE_TOL) -> B
         best_s, best_q, gap = s_exact, q_exact, gap_exact
     else:
         gap = gap_pg
-    if gap > tol:
+    if not (gap <= tol):
         raise SubsolverError(
             f"theta subsolver stalled at value gap {gap:.3e} (tolerance {tol:.3e})", gap=gap
         )
@@ -375,7 +391,7 @@ def _phi_q1(
     lam_star = _golden_section(neg_dual, -rho, rho)
     dual_val = -neg_dual(lam_star)
     gap = max(value - dual_val, 0.0)
-    if gap > tol:
+    if not (gap <= tol):
         raise SubsolverError(
             f"phi subsolver stalled at duality gap {gap:.3e} (tolerance {tol:.3e})", gap=gap
         )
@@ -435,10 +451,10 @@ def phi(
             d_now = dual(lam)
             if d_now > best_d:
                 best_d = d_now
-            if best_p - best_d <= tol:
+            if not (best_p - best_d > tol):  # converged, or a NaN gap
                 break
     gap = max(best_p - best_d, 0.0)
-    if gap > tol:
+    if not (gap <= tol):
         raise SubsolverError(
             f"phi subsolver stalled at duality gap {gap:.3e} (tolerance {tol:.3e})", gap=gap
         )

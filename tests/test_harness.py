@@ -151,6 +151,18 @@ def test_monte_carlo_captures_failures():
     assert res.estimates["v"].count == 36
 
 
+def test_monte_carlo_survives_numeric_failure():
+    def run(rep, stream):
+        if rep == 17:
+            raise np.linalg.LinAlgError("eigh did not converge")
+        return {"v": float(rep)}
+
+    res = monte_carlo(run, 30, RandomStream(4))
+    assert res.failures == [(17, "LinAlgError: eigh did not converge")]
+    assert not res.partial
+    assert res.estimates["v"].count == 29
+
+
 def test_monte_carlo_validation():
     with pytest.raises(ConfigError):
         monte_carlo(lambda rep, s: {"v": 1.0}, 29, RandomStream(0))

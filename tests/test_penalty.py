@@ -14,6 +14,7 @@ from spen import (
     ProblemConstants,
     RandomStream,
     SteeringError,
+    SubsolverError,
     TestProblemSpec,
     build_problem,
     c_bar_constant,
@@ -114,6 +115,26 @@ def test_steering_doubling_cap(monkeypatch):
     prob = _fixed_instance_problem([2.0], [1.0])
     state = PenaltyState(k=0, x=np.zeros(1), G=np.array([-2.0]), rho=1.0)
     with pytest.raises(SteeringError):
+        steer_penalty(prob, state, xi=0.5, tau=1.0)
+
+
+def test_steering_stops_at_once_on_nan_measure(monkeypatch):
+    import spen.penalty as penalty_mod
+
+    class _Nan:
+        measure = math.nan
+
+    phi_calls = []
+    real_phi = penalty_mod.phi
+    monkeypatch.setattr(penalty_mod, "phi", lambda *a, **k: phi_calls.append(1) or _Nan())
+    prob = _fixed_instance_problem([2.0], [1.0])
+    state = PenaltyState(k=0, x=np.zeros(1), G=np.array([-2.0]), rho=1.0)
+    with pytest.raises(SubsolverError, match="phi"):
+        steer_penalty(prob, state, xi=0.5, tau=1.0)
+    assert len(phi_calls) == 1
+    monkeypatch.setattr(penalty_mod, "phi", real_phi)
+    monkeypatch.setattr(penalty_mod, "theta", lambda *a, **k: _Nan())
+    with pytest.raises(SubsolverError, match="theta"):
         steer_penalty(prob, state, xi=0.5, tau=1.0)
 
 

@@ -14,8 +14,6 @@ from spen import (
     RandomStream,
     estimate_constants,
     eval_constraints,
-    sample_sfo,
-    sample_szo,
     spectral_norm,
 )
 
@@ -153,7 +151,11 @@ def test_oracle_kind_errors():
     with pytest.raises(OracleKindError):
         grad_only.sample_value_pair(np.zeros(2), np.zeros(2), rng)
     with pytest.raises(OracleKindError):
+        grad_only.value_pair_batch(np.zeros((3, 2)), np.zeros((3, 2)), rng)
+    with pytest.raises(OracleKindError):
         value_only.sample_gradient(np.zeros(2), rng)
+    with pytest.raises(OracleKindError):
+        value_only.gradient_batch(np.zeros(2), 3, rng)
     with pytest.raises(ConfigError):
         GaussianOracle(grad=lambda x: x, sigma=-0.1)
 
@@ -207,22 +209,6 @@ def test_eval_constraints_rejects_bad_returns():
     )
     with pytest.raises(DomainError):
         eval_constraints(nan_c, np.zeros(2))
-
-
-def test_sample_helpers_and_kinds():
-    prob = _quad_problem(sigma=0.0)
-    s = sample_sfo(prob, np.array([1.0, 2.0]), RandomStream(0, (4,)))
-    assert s.kind == "sfo" and s.seed_path == (4,)
-    assert np.array_equal(s.payload, np.array([1.0, 2.0]))
-    v = sample_szo(prob, np.array([1.0, 2.0]), RandomStream(0))
-    assert v.kind == "szo" and v.payload == 2.5
-    grad_only = ConstrainedProblem(
-        n=1, q=1,
-        constraints=lambda x: (np.zeros(1), np.zeros((1, 1))),
-        oracle=GaussianOracle(grad=lambda x: x),
-    )
-    with pytest.raises(OracleKindError):
-        sample_szo(grad_only, np.zeros(1), RandomStream(0))
 
 
 def test_true_value_grad_requires_exact_objective():

@@ -8,6 +8,7 @@ from spen import (
     ConfigError,
     ConstrainedProblem,
     CountingOracle,
+    DomainError,
     GaussianOracle,
     ProblemConstants,
     RandomStream,
@@ -18,6 +19,7 @@ from spen import (
     sfo_budget,
     sfo_stationarity_bound,
     solve_nsco_sfo,
+    solve_nsco_szo,
     stopping_pmf,
 )
 from spen.problems import eval_constraints
@@ -36,6 +38,20 @@ def _free_problem(n=2, sigma=0.0, L=1.0):
         ),
         constants=ProblemConstants(L_g=L, sigma=sigma),
         true_objective=lambda x: (0.5 * L * float(x @ x), L * x),
+    )
+
+
+def _line_problem(sigma):
+    """min 0.5*||x||^2 subject to x1 + x2 = 1, with value and gradient oracles."""
+    return ConstrainedProblem(
+        n=2,
+        q=1,
+        constraints=lambda x: (np.array([x[0] + x[1] - 1.0]), np.array([[1.0, 1.0]])),
+        oracle=GaussianOracle(
+            value=lambda x: 0.5 * (np.asarray(x) ** 2).sum(axis=-1),
+            grad=lambda x: np.asarray(x, dtype=float),
+            sigma=sigma,
+        ),
     )
 
 
@@ -225,3 +241,55 @@ def test_solver_converges_noiseless():
     res = solve_nsco_sfo(prob, 1.0, np.array([2.0, 2.0]), budget, RandomStream(0),
                          stop_index=60)
     assert np.linalg.norm(res.x_R) < 1e-6
+
+
+def test_solver_matches_manual_batch_loop():
+    # draw layout: R is one uniform integer from stream.child(0); every batch
+    # of the run comes, in order, from one generator on stream.child(1)
+    prob = _line_problem(sigma=0.3)
+    budget = SolverBudget(n_bar=60, m=5, gamma=0.8, L=1.0)
+    stream = RandomStream(12)
+    x0 = np.array([1.0, -1.0])
+    res = solve_nsco_sfo(prob, 1.5, x0, budget, stream)
+    assert res.R == int(stream.child(0).generator().integers(1, budget.iterations + 1))
+    assert res.R > 2
+    rng = stream.child(1).generator()
+    x = x0
+    for _ in range(1, res.R):
+        g = prob.oracle.gradient_batch(x, 5, rng).mean(axis=0)
+        c, jac = eval_constraints(prob, x)
+        x = prox_step(x, g, c, jac, 1.5, 0.8).x_plus
+    assert np.array_equal(res.x_R, x)
+    assert np.array_equal(res.G_R, prob.oracle.gradient_batch(x, 5, rng).mean(axis=0))
+
+
+def test_stop_index_reproduces_random_run():
+    prob = _line_problem(sigma=0.3)
+    budget = SolverBudget(n_bar=80, m=4, gamma=1.0, L=1.0, mu=0.05)
+    x0 = np.array([2.0, 0.0])
+    for solver in (solve_nsco_sfo, solve_nsco_szo):
+        for rep in range(5):
+            stream = RandomStream(21).child(rep)
+            free = solver(prob, 1.0, x0, budget, stream)
+            fixed = solver(prob, 1.0, x0, budget, stream, stop_index=free.R)
+            assert fixed.R == free.R
+            assert np.array_equal(fixed.x_R, free.x_R)
+            assert np.array_equal(fixed.G_R, free.G_R)
+
+
+def test_solver_rejects_non_finite_batch():
+    calls = []
+
+    def grad(x):
+        calls.append(1)
+        return np.full(2, np.nan) if len(calls) > 3 else np.asarray(x, dtype=float)
+
+    prob = ConstrainedProblem(
+        n=2,
+        q=1,
+        constraints=lambda x: (np.zeros(1), np.zeros((1, 2))),
+        oracle=GaussianOracle(grad=grad, sigma=0.1),
+    )
+    budget = SolverBudget(n_bar=50, m=2, gamma=1.0, L=1.0)
+    with pytest.raises(DomainError, match="iteration 4"):
+        solve_nsco_sfo(prob, 1.0, np.ones(2), budget, RandomStream(0), stop_index=10)

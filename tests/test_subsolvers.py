@@ -13,7 +13,6 @@ from grid_reference import (
 from spen import (
     DEFAULT_PROX_TOL,
     SubsolverError,
-    generalized_gradient,
     phi,
     prox_step,
     theta,
@@ -67,6 +66,10 @@ def test_prox_stationarity_and_dual_feasibility():
         resid = g + jac.T @ pr.lam + pr.d / gamma
         assert np.linalg.norm(resid) < 1e-10
         assert pr.gap <= DEFAULT_PROX_TOL
+        # the reported gap is the primal-dual difference of the returned pair
+        r = g + jac.T @ pr.lam
+        dual = float(pr.lam @ c) - 0.5 * gamma * float(r @ r)
+        assert abs(prox_objective(pr.d, g, c, jac, rho, gamma) - dual - pr.gap) < 1e-9
 
 
 def test_prox_matches_grid():
@@ -119,12 +122,15 @@ def test_prox_rejects_bad_parameters():
         prox_step(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros((1, 1)), -1.0, 1.0)
 
 
-def test_generalized_gradient_identity():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(3)
-    pr = prox_step(x, rng.standard_normal(3), rng.standard_normal(2),
-                   rng.standard_normal((2, 3)), 1.5, 0.7)
-    assert np.allclose(generalized_gradient(x, pr.x_plus, 0.7), pr.p_gamma, atol=1e-14)
+def test_prox_nan_gradient_raises():
+    g = np.array([np.nan, 1.0])
+    with pytest.raises(SubsolverError):
+        prox_step(np.zeros(2), g, np.array([0.5]), np.array([[1.0, 1.0]]), 1.0, 0.5)
+    with pytest.raises(SubsolverError):
+        prox_step(np.zeros(2), g, np.array([0.5, 0.1]), np.eye(2), 1.0, 0.5)
+    # a zero Jacobian row takes the other branch of the scalar dual
+    with pytest.raises(SubsolverError):
+        prox_step(np.zeros(2), g, np.array([0.5]), np.zeros((1, 2)), 1.0, 0.5)
 
 
 def test_theta_closed_forms():
@@ -134,6 +140,11 @@ def test_theta_closed_forms():
     assert abs(theta(np.array([0.3, 0.4]), np.eye(2)).measure - 0.5) < 1e-8
     assert theta(np.zeros(2), np.eye(2)).measure == 0.0
     assert theta(np.array([1.0]), np.zeros((1, 2))).measure == 0.0
+
+
+def test_theta_nan_constraint_raises():
+    with pytest.raises(SubsolverError):
+        theta(np.array([np.nan, 1.0]), np.eye(2))
 
 
 def test_theta_range_and_gap():
@@ -223,6 +234,13 @@ def test_phi_near_parallel_gradient_regression():
         vals = [beta * nj * u + rho * abs(c[0] + nj * u) for u in cands]
         best = rho * abs(c[0]) - min(vals)
         assert abs(r.measure - best) < 1e-8
+
+
+def test_phi_nan_gradient_raises():
+    with pytest.raises(SubsolverError):
+        phi(np.array([np.nan, 1.0]), np.array([0.5]), np.array([[1.0, 1.0]]), 2.0)
+    with pytest.raises(SubsolverError):
+        phi(np.array([np.nan, 1.0]), np.array([0.5, 0.1]), np.eye(2), 2.0)
 
 
 def test_phi_rejects_negative_rho():

@@ -9,6 +9,7 @@ from spen import (
     ConfigError,
     ConstrainedProblem,
     CountingOracle,
+    DomainError,
     GaussianOracle,
     ProblemConstants,
     RandomStream,
@@ -161,18 +162,45 @@ def test_szo_solver_deterministic_and_counts():
 
 
 def test_szo_solver_matches_manual_loop():
+    # every batch of the run comes, in order, from one generator on
+    # stream.child(1): directions first, then the shared value noise
     prob = _quad_problem([1.0, 2.0], sigma=0.1)
     budget = SolverBudget(n_bar=40, m=4, gamma=0.5, L=2.0, mu=0.05)
     stream = RandomStream(12)
     res = solve_nsco_szo(prob, 1.5, np.array([1.0, -1.0]), budget, stream, stop_index=7)
+    rng = stream.child(1).generator()
+
+    def batch(x):
+        v = rng.standard_normal((4, 2))
+        f_shift, f_base = prob.oracle.value_pair_batch(x + 0.05 * v, np.tile(x, (4, 1)), rng)
+        return (((f_shift - f_base) / 0.05)[:, None] * v).mean(axis=0)
+
     x = np.array([1.0, -1.0])
-    for k in range(1, 7):
-        g = szo_gradient_batch(prob, x, 0.05, 4, stream.child(k))
+    for _ in range(1, 7):
+        g = batch(x)
         c, jac = eval_constraints(prob, x)
         x = prox_step(x, g, c, jac, 1.5, 0.5).x_plus
-    assert np.allclose(res.x_R, x, atol=1e-12)
-    want_g = szo_gradient_batch(prob, x, 0.05, 4, stream.child(7))
-    assert np.allclose(res.G_R, want_g, atol=1e-12)
+    assert np.array_equal(res.x_R, x)
+    assert np.array_equal(res.G_R, batch(x))
+
+
+def test_szo_solver_rejects_non_finite_batch():
+    calls = []
+
+    def value(xs):
+        calls.append(1)
+        out = 0.5 * (np.asarray(xs) ** 2).sum(axis=-1)
+        return np.full_like(out, np.inf) if len(calls) > 4 else out
+
+    prob = ConstrainedProblem(
+        n=2,
+        q=1,
+        constraints=lambda x: (np.zeros(1), np.zeros((1, 2))),
+        oracle=GaussianOracle(value=value, sigma=0.1),
+    )
+    budget = SolverBudget(n_bar=40, m=4, gamma=0.5, L=2.0, mu=0.05)
+    with pytest.raises(DomainError, match="iteration 3"):
+        solve_nsco_szo(prob, 1.0, np.ones(2), budget, RandomStream(0), stop_index=8)
 
 
 def test_szo_solver_progress_on_quadratic():
