@@ -49,12 +49,10 @@ from .penalty import (
 )
 from .problems import (
     ConstrainedProblem,
-    CountingOracle,
     GaussianOracle,
     KnownSolution,
     ProblemConstants,
     RandomStream,
-    estimate_constants,
     eval_constraints,
     spectral_norm,
 )
@@ -81,7 +79,6 @@ from .subsolvers import (
 )
 from .szo import (
     SmoothedValue,
-    gaussian_gradient_sample,
     sigma_tilde_sq,
     smoothed_reference,
     solve_nsco_szo,

@@ -11,7 +11,7 @@ any order, or concurrently, without changing any draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -22,11 +22,9 @@ __all__ = [
     "RandomStream",
     "ProblemConstants",
     "GaussianOracle",
-    "CountingOracle",
     "KnownSolution",
     "ConstrainedProblem",
     "eval_constraints",
-    "estimate_constants",
     "spectral_norm",
 ]
 
@@ -59,8 +57,8 @@ class ProblemConstants:
     and the constraint Jacobian, ``sigma`` the oracle noise level, ``f_low``
     a lower bound on the objective, and the ``kappa_*`` fields bounds on
     gradient norm, constraint norm, objective value, and Jacobian norm over
-    the region the iterates visit.  Missing fields may be filled by
-    :func:`estimate_constants`.
+    the region the iterates visit.  Budget code checks the fields it needs
+    with :meth:`require`.
     """
 
     L_g: float | None = None
@@ -130,14 +128,6 @@ class GaussianOracle:
     def has_value(self) -> bool:
         return self._value is not None
 
-    def sample_gradient(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if self._grad is None:
-            raise OracleKindError("oracle provides no gradient (SFO) samples")
-        g = np.asarray(self._grad(x), dtype=float)
-        if self.sigma > 0.0:
-            g = g + (self.sigma / np.sqrt(g.size)) * rng.standard_normal(g.size)
-        return g
-
     def gradient_batch(self, x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
         """Stack of ``m`` independent gradient samples, shape ``(m, n)``."""
         if self._grad is None:
@@ -146,25 +136,6 @@ class GaussianOracle:
         if self.sigma > 0.0:
             return g + (self.sigma / math.sqrt(g.size)) * rng.standard_normal((m, g.size))
         return np.tile(g, (m, 1))
-
-    def sample_value(self, x: np.ndarray, rng: np.random.Generator) -> float:
-        if self._value is None:
-            raise OracleKindError("oracle provides no value (SZO) samples")
-        v = float(self._value(np.asarray(x, dtype=float)))
-        if self.sigma > 0.0:
-            v += self.sigma * float(rng.standard_normal())
-        return v
-
-    def sample_value_pair(
-        self, x_a: np.ndarray, x_b: np.ndarray, rng: np.random.Generator
-    ) -> tuple[float, float]:
-        """Two value samples sharing one realization of the noise."""
-        if self._value is None:
-            raise OracleKindError("oracle provides no value (SZO) samples")
-        e = self.sigma * float(rng.standard_normal()) if self.sigma > 0.0 else 0.0
-        fa = float(self._value(np.asarray(x_a, dtype=float))) + e
-        fb = float(self._value(np.asarray(x_b, dtype=float))) + e
-        return fa, fb
 
     def value_pair_batch(
         self, xs_a: np.ndarray, xs_b: np.ndarray, rng: np.random.Generator
@@ -186,51 +157,6 @@ class GaussianOracle:
             fa = fa + e
             fb = fb + e
         return fa, fb
-
-
-class CountingOracle:
-    """Wrapper that ledgers every oracle invocation.
-
-    A value pair counts as two calls; a gradient batch of size ``m`` as
-    ``m`` calls.  Used by solver runs so the reported consumption equals
-    the oracle's own counter exactly.
-    """
-
-    def __init__(self, inner: GaussianOracle):
-        self.inner = inner
-        self.calls = 0
-
-    @property
-    def sigma(self) -> float:
-        return self.inner.sigma
-
-    @property
-    def has_gradient(self) -> bool:
-        return self.inner.has_gradient
-
-    @property
-    def has_value(self) -> bool:
-        return self.inner.has_value
-
-    def sample_gradient(self, x, rng):
-        self.calls += 1
-        return self.inner.sample_gradient(x, rng)
-
-    def gradient_batch(self, x, m, rng):
-        self.calls += int(m)
-        return self.inner.gradient_batch(x, m, rng)
-
-    def sample_value(self, x, rng):
-        self.calls += 1
-        return self.inner.sample_value(x, rng)
-
-    def sample_value_pair(self, x_a, x_b, rng):
-        self.calls += 2
-        return self.inner.sample_value_pair(x_a, x_b, rng)
-
-    def value_pair_batch(self, xs_a, xs_b, rng):
-        self.calls += 2 * int(np.asarray(xs_a).shape[0])
-        return self.inner.value_pair_batch(xs_a, xs_b, rng)
 
 
 @dataclass(frozen=True)
@@ -303,87 +229,3 @@ def eval_constraints(problem: ConstrainedProblem, x: np.ndarray) -> tuple[np.nda
         )
     return c, jac
 
-
-def _grad_probe(problem: ConstrainedProblem, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Best available gradient estimate at ``x`` for constant estimation."""
-    if problem.true_objective is not None:
-        return problem.true_value_grad(x)[1]
-    if problem.oracle.has_gradient:
-        # average a small batch to tame oracle noise
-        return problem.oracle.gradient_batch(x, 64, rng).mean(axis=0)
-    raise ConfigError("constant estimation needs true_objective or an SFO oracle")
-
-
-def estimate_constants(
-    problem: ConstrainedProblem, trials: int, stream: RandomStream
-) -> ProblemConstants:
-    """Fill missing problem constants by sampling the declared box.
-
-    Lipschitz constants are estimated as the maximum difference quotient
-    over ``trials`` random point pairs, inflated by 1.5 as a safety
-    margin; boundedness constants as inflated maxima over the samples.
-    Declared (non-``None``) constants pass through unchanged.
-    """
-    c0 = problem.constants
-    need = [k for k in ("L_g", "L_J", "sigma", "f_low", "kappa_g", "kappa_c", "kappa_f", "kappa_J")
-            if getattr(c0, k) is None]
-    if not need:
-        return c0
-    if problem.box is None:
-        raise ConfigError("constant estimation requires a declared sampling box")
-    if trials < 2:
-        raise ConfigError(f"constant estimation needs trials >= 2, got {trials}")
-    lo, hi = (np.asarray(b, dtype=float) for b in problem.box)
-    rng = stream.generator()
-    pts = lo + (hi - lo) * rng.random((trials, problem.n))
-
-    grads = None
-    if {"L_g", "kappa_g"} & set(need):
-        grads = np.stack([_grad_probe(problem, p, rng) for p in pts])
-    vals = None
-    if {"f_low", "kappa_f"} & set(need):
-        if problem.true_objective is not None:
-            vals = np.array([problem.true_value_grad(p)[0] for p in pts])
-        elif problem.oracle.has_value:
-            vals = np.array(
-                [np.mean([problem.oracle.sample_value(p, rng) for _ in range(16)]) for p in pts]
-            )
-        else:
-            raise ConfigError("constant estimation needs true_objective or an SZO oracle")
-    cons = jacs = None
-    if {"L_J", "kappa_c", "kappa_J"} & set(need):
-        pairs = [eval_constraints(problem, p) for p in pts]
-        cons = np.stack([p[0] for p in pairs])
-        jacs = np.stack([p[1] for p in pairs])
-
-    out = replace(c0)
-    gaps = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
-    gaps = np.where(gaps > 1e-12, gaps, 1.0)
-    if "L_g" in need:
-        quot = np.linalg.norm(grads[1:] - grads[:-1], axis=1) / gaps
-        out.L_g = 1.5 * float(np.max(quot))
-    if "L_J" in need:
-        quot = np.array(
-            [spectral_norm(jacs[i + 1] - jacs[i]) for i in range(trials - 1)]
-        ) / gaps
-        out.L_J = 1.5 * float(np.max(quot))
-    if "sigma" in need:
-        if problem.oracle.has_gradient:
-            draws = problem.oracle.gradient_batch(pts[0], 64, rng)
-            dev = draws - draws.mean(axis=0)
-            out.sigma = 1.5 * float(np.sqrt((dev**2).sum(axis=1).mean()))
-        else:
-            out.sigma = problem.oracle.sigma
-    if "kappa_g" in need:
-        out.kappa_g = 1.5 * float(np.max(np.linalg.norm(grads, axis=1)))
-    if "f_low" in need:
-        spread = float(np.max(vals) - np.min(vals))
-        out.f_low = float(np.min(vals)) - 0.5 * (spread + 1.0)
-    if "kappa_f" in need:
-        top = float(np.max(vals))
-        out.kappa_f = top + 0.5 * (abs(top) + 1.0)
-    if "kappa_c" in need:
-        out.kappa_c = 1.5 * float(np.max(np.linalg.norm(cons, axis=1)))
-    if "kappa_J" in need:
-        out.kappa_J = 1.5 * float(np.max([spectral_norm(j) for j in jacs]))
-    return out

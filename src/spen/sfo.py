@@ -184,14 +184,15 @@ def batch_gradient(
     x: np.ndarray,
     m: int,
     stream: RandomStream,
-    oracle=None,
 ) -> np.ndarray:
     """Arithmetic mean of ``m`` independent gradient oracle samples at ``x``."""
     if m < 1:
         raise ConfigError(f"batch size must be >= 1, got {m}")
-    src = oracle if oracle is not None else problem.oracle
-    samples = src.gradient_batch(np.asarray(x, dtype=float), int(m), stream.generator())
-    return samples.mean(axis=0)
+    return _batch_mean(problem.oracle, np.asarray(x, dtype=float), int(m), stream.generator())
+
+
+def _batch_mean(src, x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    return src.gradient_batch(x, m, rng).sum(axis=0) / m
 
 
 def _solve_inner(
@@ -276,7 +277,6 @@ def solve_nsco_sfo(
     tol: float = DEFAULT_PROX_TOL,
     record: bool = False,
     stop_index: int | None = None,
-    oracle=None,
 ) -> NscoRunResult:
     """Run the stochastic first-order composite solver under a budget.
 
@@ -287,9 +287,8 @@ def solve_nsco_sfo(
     ``stop_index`` overrides the random draw for diagnostic runs.  Raises
     ``DomainError`` when a batch estimate is non-finite.
     """
-    src = oracle if oracle is not None else problem.oracle
-    m = budget.m
+    src, m = problem.oracle, budget.m
     return _solve_inner(
         problem, rho, x_init, budget, stream, tol, record, stop_index,
-        lambda x, rng: src.gradient_batch(x, m, rng).sum(axis=0) / m, m,
+        lambda x, rng: _batch_mean(src, x, m, rng), m,
     )

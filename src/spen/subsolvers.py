@@ -267,86 +267,54 @@ def _theta_q1(c: np.ndarray, jac: np.ndarray, tol: float) -> BallSubproblemResul
     return BallSubproblemResult(s, value, 0.0, measure)
 
 
+def _require_finite(measure: str, **arrays: np.ndarray) -> None:
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise SubsolverError(f"{measure} input {name} has a non-finite entry")
+
+
 def theta(c: np.ndarray, jac: np.ndarray, tol: float = DEFAULT_MEASURE_TOL) -> BallSubproblemResult:
     """Infeasibility stationarity measure ``||c|| - min_{||s||<=1} ||c + J s||``.
 
-    The inner problem is solved on the squared residual with projected
-    gradient and Barzilai-Borwein steps, falling back to the fixed step
-    ``1/||J'J||`` when the nonmonotone steps stall.  The reported ``gap``
-    bounds the error of ``value`` (the attained residual norm), and the
-    measure is clamped to be nonnegative.
+    The inner problem, minimizing the squared residual ``||c + J s||^2``
+    over the unit ball, is a ball-constrained PSD quadratic.  It is solved
+    exactly in the singular basis of ``J``: the least-norm minimizer when
+    it lies in the ball, else the boundary point from the secular
+    equation.  Working with the singular values of ``J`` rather than the
+    eigenvalues of ``J'J`` keeps directions with singular values down to
+    ``1e-14`` of the largest.  The reported ``gap``, a Frank-Wolfe bound
+    mapped to the norm scale, bounds the error of ``value`` (the attained
+    residual norm), and the measure is clamped to be nonnegative.  Raises
+    ``SubsolverError`` on a non-finite input or a gap above ``tol``.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     jac = np.atleast_2d(np.asarray(jac, dtype=float))
-    q, n = jac.shape
-    if q == 1:
+    _require_finite("theta", c=c, jac=jac)
+    if jac.shape[0] == 1:
         return _theta_q1(c, jac, tol)
 
-    jn = spectral_norm(jac)
-    norm_c = float(np.linalg.norm(c))
-    if jn == 0.0:
-        return BallSubproblemResult(np.zeros(n), norm_c, 0.0, 0.0)
-    base_step = 1.0 / jn**2
-
-    def qval(s):
-        r = c + jac @ s
-        return float(r @ r)
-
-    def qgrad(s):
-        return 2.0 * (jac.T @ (c + jac @ s))
-
-    def value_gap(s, qv, gr):
-        # Frank-Wolfe gap on the squared objective, mapped to the norm scale
-        fw = float(gr @ s) + float(np.linalg.norm(gr))
-        fw = max(fw, 0.0)
-        root = np.sqrt(qv)
-        return root - np.sqrt(max(qv - fw, 0.0))
-
-    s = np.zeros(n)
-    best_s, best_q = s, qval(s)
-    grad = qgrad(s)
-    step = base_step
-    since_best = 0
-    for it in range(2000):
-        if it % 10 == 0 or since_best == 0:
-            vgap = value_gap(best_s, best_q, qgrad(best_s))
-            if vgap <= tol:
-                value = np.sqrt(best_q)
-                return BallSubproblemResult(
-                    best_s, value, vgap, max(norm_c - value, 0.0)
-                )
-        s_new = _proj_ball(s - step * grad, 1.0)
-        grad_new = qgrad(s_new)
-        q_new = qval(s_new)
-        if q_new < best_q:
-            best_q, best_s = q_new, s_new
-            since_best = 0
-        else:
-            since_best += 1
-        ds = s_new - s
-        dg = grad_new - grad
-        denom = float(ds @ dg)
-        if since_best >= 50 or denom <= 0.0:
-            step = base_step  # convergence fallback
-        else:
-            step = float(np.clip((ds @ ds) / denom, 1e-4 * base_step, 1e4 * base_step))
-        s, grad = s_new, grad_new
-    # terminal fallback: the inner problem is a ball-constrained PSD
-    # quadratic, so solve it exactly in the eigenbasis of J'J
-    s_exact = _dual_ball_quadratic(2.0 * (jac.T @ jac), -2.0 * (jac.T @ c), 1.0)
-    q_exact = qval(s_exact)
-    gap_exact = value_gap(s_exact, q_exact, qgrad(s_exact))
-    gap_pg = value_gap(best_s, best_q, qgrad(best_s))
-    if gap_exact <= gap_pg:
-        best_s, best_q, gap = s_exact, q_exact, gap_exact
-    else:
-        gap = gap_pg
+    # with J = U diag(sv) V', minimize ||c + U diag(sv) t||^2 over
+    # ||t|| <= 1 and set s = V t; sv below 1e-14 of the largest is noise
+    u, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    gam = u.T @ c
+    keep = sv > sv[0] * 1e-14
+    t = np.where(keep, -gam / np.where(keep, sv, 1.0), 0.0)
+    if float(np.linalg.norm(t)) > 1.0:
+        beta = np.where(keep, -sv * gam, 0.0)
+        t = beta / (sv**2 + _secular_root(sv**2, beta, 1.0))
+    s = vt.T @ t
+    r = c + jac @ s
+    qv = float(r @ r)
+    grad = 2.0 * (jac.T @ r)
+    # Frank-Wolfe gap on the squared objective, mapped to the norm scale
+    fw = max(float(grad @ s) + float(np.linalg.norm(grad)), 0.0)
+    value = math.sqrt(qv)
+    gap = value - math.sqrt(max(qv - fw, 0.0))
     if not (gap <= tol):
         raise SubsolverError(
-            f"theta subsolver stalled at value gap {gap:.3e} (tolerance {tol:.3e})", gap=gap
+            f"theta subsolver value gap {gap:.3e} exceeds tolerance {tol:.3e}", gap=gap
         )
-    value = np.sqrt(best_q)
-    return BallSubproblemResult(best_s, value, gap, max(norm_c - value, 0.0))
+    return BallSubproblemResult(s, value, gap, max(float(np.linalg.norm(c)) - value, 0.0))
 
 
 def _phi_q1(
@@ -421,6 +389,7 @@ def phi(
     q, n = jac.shape
     if rho < 0.0:
         raise SubsolverError(f"penalty parameter must be >= 0, got {rho}")
+    _require_finite("phi", g=g, c=c, jac=jac)
     if q == 1:
         return _phi_q1(g, c, jac, rho, tol)
 

@@ -23,7 +23,6 @@ from .subsolvers import DEFAULT_PROX_TOL
 
 __all__ = [
     "SmoothedValue",
-    "gaussian_gradient_sample",
     "szo_gradient_batch",
     "smoothed_reference",
     "sigma_tilde_sq",
@@ -41,45 +40,20 @@ class SmoothedValue:
     stderr: float
 
 
-def gaussian_gradient_sample(
-    problem: ConstrainedProblem,
-    x: np.ndarray,
-    mu: float,
-    stream: RandomStream,
-    oracle=None,
-) -> np.ndarray:
-    """One two-point smoothed-gradient draw; consumes exactly 2 value calls.
-
-    Draws ``v`` standard Gaussian, evaluates the value oracle at
-    ``x + mu*v`` and ``x`` under a common noise realization, and returns
-    ``(F(x + mu*v) - F(x))/mu * v``, an unbiased sample of the smoothed
-    gradient ``grad f_mu(x)``.
-    """
-    if mu <= 0.0:
-        raise ConfigError(f"smoothing radius must be > 0, got {mu}")
-    src = oracle if oracle is not None else problem.oracle
-    x = np.asarray(x, dtype=float)
-    rng = stream.generator()
-    v = rng.standard_normal(x.size)
-    f_shift, f_base = src.sample_value_pair(x + mu * v, x, rng)
-    return ((f_shift - f_base) / mu) * v
-
-
 def szo_gradient_batch(
     problem: ConstrainedProblem,
     x: np.ndarray,
     mu: float,
     m: int,
     stream: RandomStream,
-    oracle=None,
 ) -> np.ndarray:
     """Mean of ``m`` two-point draws at ``x``; consumes ``2*m`` value calls."""
     if mu <= 0.0:
         raise ConfigError(f"smoothing radius must be > 0, got {mu}")
     if m < 1:
         raise ConfigError(f"batch size must be >= 1, got {m}")
-    src = oracle if oracle is not None else problem.oracle
-    return _two_point_mean(src, np.asarray(x, dtype=float), mu, int(m), stream.generator())
+    x = np.asarray(x, dtype=float)
+    return _two_point_mean(problem.oracle, x, mu, int(m), stream.generator())
 
 
 def _two_point_mean(src, x: np.ndarray, mu: float, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -188,7 +162,6 @@ def solve_nsco_szo(
     tol: float = DEFAULT_PROX_TOL,
     record: bool = False,
     stop_index: int | None = None,
-    oracle=None,
 ) -> NscoRunResult:
     """Run the stochastic zeroth-order composite solver under a budget.
 
@@ -201,8 +174,7 @@ def solve_nsco_szo(
     """
     if budget.mu is None:
         raise ConfigError("zeroth-order runs need a budget with a smoothing radius")
-    src = oracle if oracle is not None else problem.oracle
-    m, mu = budget.m, budget.mu
+    src, m, mu = problem.oracle, budget.m, budget.mu
     return _solve_inner(
         problem, rho, x_init, budget, stream, tol, record, stop_index,
         lambda x, rng: _two_point_mean(src, x, mu, m, rng), 2 * m,

@@ -40,7 +40,7 @@ def test_p1_is_unconstrained_with_exact_trig_gradient():
     x = np.linspace(-1.0, 2.0, 6)
     c, jac = eval_constraints(prob, x)
     assert np.all(c == 0.0) and np.all(jac == 0.0)
-    g = prob.oracle.sample_gradient(x, np.random.default_rng(0))
+    g = prob.oracle.gradient_batch(x, 1, np.random.default_rng(0))[0]
     assert np.allclose(g, np.sin(x) + 0.1 * x, atol=1e-14)
     f, grad = prob.true_value_grad(x)
     assert abs(f - ((1.0 - np.cos(x)).sum() + 0.05 * x @ x)) < 1e-12

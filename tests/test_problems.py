@@ -6,20 +6,18 @@ import pytest
 from spen import (
     ConfigError,
     ConstrainedProblem,
-    CountingOracle,
     DomainError,
     GaussianOracle,
     OracleKindError,
     ProblemConstants,
     RandomStream,
-    estimate_constants,
     eval_constraints,
     spectral_norm,
 )
 
 
 def _quad_problem(sigma=0.0, with_true=True):
-    """min 0.5*||x||^2 subject to x1 + x2 = 1 on the square [-1, 1]^2."""
+    """min 0.5*||x||^2 subject to x1 + x2 = 1."""
     value = lambda x: 0.5 * float((np.asarray(x) ** 2).sum(axis=-1))
     grad = lambda x: np.asarray(x, dtype=float)
     cons = lambda x: (np.array([x[0] + x[1] - 1.0]), np.array([[1.0, 1.0]]))
@@ -33,7 +31,6 @@ def _quad_problem(sigma=0.0, with_true=True):
                               grad=grad, sigma=sigma),
         constants=ProblemConstants(L_g=1.0, sigma=sigma),
         true_objective=(lambda x: (0.5 * float(x @ x), x.copy())) if with_true else None,
-        box=(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
     )
 
 
@@ -77,11 +74,12 @@ def test_stream_immutable():
 
 
 def test_oracle_noiseless_exact():
-    orc = GaussianOracle(value=lambda x: float(x @ x), grad=lambda x: 2.0 * x, sigma=0.0)
+    orc = GaussianOracle(value=lambda x: (x * x).sum(axis=-1), grad=lambda x: 2.0 * x, sigma=0.0)
     rng = np.random.default_rng(0)
     x = np.array([1.0, -2.0])
-    assert np.array_equal(orc.sample_gradient(x, rng), np.array([2.0, -4.0]))
-    assert orc.sample_value(x, rng) == 5.0
+    assert np.array_equal(orc.gradient_batch(x, 1, rng), np.array([[2.0, -4.0]]))
+    fa, fb = orc.value_pair_batch(x[None], np.zeros((1, 2)), rng)
+    assert fa[0] == 5.0 and fb[0] == 0.0
 
 
 def test_oracle_gradient_second_moment():
@@ -110,7 +108,7 @@ def test_oracle_value_noise_level():
     sigma = 0.5
     orc = GaussianOracle(value=lambda x: 0.0, sigma=sigma, vectorized=False)
     rng = np.random.default_rng(9)
-    vals = np.array([orc.sample_value(np.zeros(2), rng) for _ in range(4000)])
+    vals, _ = orc.value_pair_batch(np.zeros((4000, 2)), np.zeros((4000, 2)), rng)
     assert abs(vals.mean()) < 5.0 * sigma / np.sqrt(4000)
     assert 0.9 * sigma**2 <= vals.var() <= 1.1 * sigma**2
 
@@ -119,10 +117,9 @@ def test_value_pair_shares_noise():
     # paired draws share one noise realization, so differences are exact
     orc = GaussianOracle(value=lambda x: float(x[0]), sigma=2.0, vectorized=False)
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        xa, xb = rng.standard_normal(3), rng.standard_normal(3)
-        fa, fb = orc.sample_value_pair(xa, xb, rng)
-        assert abs((fa - fb) - (xa[0] - xb[0])) < 1e-12
+    xa, xb = rng.standard_normal((50, 3)), rng.standard_normal((50, 3))
+    fa, fb = orc.value_pair_batch(xa, xb, rng)
+    assert np.allclose(fa - fb, xa[:, 0] - xb[:, 0], rtol=0.0, atol=1e-12)
 
 
 def test_value_pair_batch_matches_loop():
@@ -147,35 +144,11 @@ def test_oracle_kind_errors():
     value_only = GaussianOracle(value=lambda x: 0.0)
     rng = np.random.default_rng(0)
     with pytest.raises(OracleKindError):
-        grad_only.sample_value(np.zeros(2), rng)
-    with pytest.raises(OracleKindError):
-        grad_only.sample_value_pair(np.zeros(2), np.zeros(2), rng)
-    with pytest.raises(OracleKindError):
         grad_only.value_pair_batch(np.zeros((3, 2)), np.zeros((3, 2)), rng)
-    with pytest.raises(OracleKindError):
-        value_only.sample_gradient(np.zeros(2), rng)
     with pytest.raises(OracleKindError):
         value_only.gradient_batch(np.zeros(2), 3, rng)
     with pytest.raises(ConfigError):
         GaussianOracle(grad=lambda x: x, sigma=-0.1)
-
-
-def test_counting_oracle_ledger():
-    orc = CountingOracle(GaussianOracle(value=lambda x: 0.0 * np.asarray(x).sum(axis=-1),
-                                        grad=lambda x: np.zeros(3), sigma=0.1))
-    rng = np.random.default_rng(0)
-    orc.sample_gradient(np.zeros(3), rng)
-    assert orc.calls == 1
-    orc.gradient_batch(np.zeros(3), 7, rng)
-    assert orc.calls == 8
-    orc.sample_value(np.zeros(3), rng)
-    assert orc.calls == 9
-    orc.sample_value_pair(np.zeros(3), np.ones(3), rng)
-    assert orc.calls == 11
-    orc.value_pair_batch(np.zeros((5, 3)), np.ones((5, 3)), rng)
-    assert orc.calls == 21
-    assert orc.sigma == 0.1
-    assert orc.has_gradient and orc.has_value
 
 
 def test_eval_constraints_shapes():
@@ -232,34 +205,3 @@ def test_spectral_norm():
     assert spectral_norm(np.zeros((3, 2))) == 0.0
     assert abs(spectral_norm(np.array([[3.0, 0.0], [0.0, 4.0]])) - 4.0) < 1e-12
     assert abs(spectral_norm(np.array([[1.0, 1.0]])) - np.sqrt(2.0)) < 1e-12
-
-
-def test_estimate_constants_passthrough_and_fill():
-    full = _quad_problem()
-    declared = ProblemConstants(L_g=1.0, L_J=0.5, sigma=0.0, f_low=0.0,
-                                kappa_g=2.0, kappa_c=1.0, kappa_f=1.0, kappa_J=2.0)
-    prob = ConstrainedProblem(
-        n=2, q=1, constraints=full.constraints, oracle=full.oracle,
-        constants=declared, box=full.box,
-    )
-    assert estimate_constants(prob, 50, RandomStream(0)) is declared
-
-    est = estimate_constants(_quad_problem(), 200, RandomStream(1))
-    # gradient of 0.5*||x||^2 has difference quotient exactly 1, inflated by 1.5
-    assert abs(est.L_J) < 1e-12
-    assert 1.0 <= est.kappa_g <= 1.5 * np.sqrt(2.0) + 1e-12
-    assert est.f_low is not None and est.f_low <= 0.0
-    assert est.kappa_c is not None and est.kappa_c >= 1.0
-    assert est.kappa_J is not None and abs(est.kappa_J - 1.5 * np.sqrt(2.0)) < 1e-9
-
-
-def test_estimate_constants_errors():
-    nobox = ConstrainedProblem(
-        n=2, q=1,
-        constraints=lambda x: (np.zeros(1), np.zeros((1, 2))),
-        oracle=GaussianOracle(grad=lambda x: x),
-    )
-    with pytest.raises(ConfigError):
-        estimate_constants(nobox, 50, RandomStream(0))
-    with pytest.raises(ConfigError):
-        estimate_constants(_quad_problem(), 1, RandomStream(0))

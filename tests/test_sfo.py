@@ -1,13 +1,15 @@
 """Tests for the first-order budget formulas and inner solver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+from counting_oracle import CountingGaussianOracle
 from spen import (
     ConfigError,
     ConstrainedProblem,
-    CountingOracle,
     DomainError,
     GaussianOracle,
     ProblemConstants,
@@ -177,8 +179,9 @@ def test_solver_deterministic_given_stream():
 def test_solver_call_accounting():
     prob = _free_problem(sigma=0.3)
     budget = sfo_budget(0.5, 1.0, 1.0, 0.3)
-    counter = CountingOracle(prob.oracle)
-    res = solve_nsco_sfo(prob, 1.0, np.zeros(2), budget, RandomStream(7), oracle=counter)
+    counter = CountingGaussianOracle(prob.oracle)
+    counted = replace(prob, oracle=counter)
+    res = solve_nsco_sfo(counted, 1.0, np.zeros(2), budget, RandomStream(7))
     assert res.oracle_calls == budget.m * res.R
     assert counter.calls == res.oracle_calls
 

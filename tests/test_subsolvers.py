@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from grid_reference import (
     draw_instance,
@@ -140,11 +143,78 @@ def test_theta_closed_forms():
     assert abs(theta(np.array([0.3, 0.4]), np.eye(2)).measure - 0.5) < 1e-8
     assert theta(np.zeros(2), np.eye(2)).measure == 0.0
     assert theta(np.array([1.0]), np.zeros((1, 2))).measure == 0.0
+    # a Jacobian far below unit scale is not mistaken for zero: s = (0, -1)
+    tiny = theta(np.array([0.0, 1e-3]), 1e-8 * np.array([[0.0, 1.0], [0.0, 1.0]]))
+    assert abs(tiny.measure - (1e-3 - np.hypot(1e-8, 1e-3 - 1e-8))) < 1e-15
 
 
 def test_theta_nan_constraint_raises():
-    with pytest.raises(SubsolverError):
+    with pytest.raises(SubsolverError, match="theta input c has a non-finite entry"):
         theta(np.array([np.nan, 1.0]), np.eye(2))
+    with pytest.raises(SubsolverError, match="theta input c has a non-finite entry"):
+        theta(np.array([np.inf]), np.ones((1, 2)))
+    with pytest.raises(SubsolverError, match="theta input jac has a non-finite entry"):
+        theta(np.array([0.5, 1.0]), np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+_SCALES = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+_SMALL_INTS = st.integers(-3, 3).map(float)
+
+
+@st.composite
+def _theta_instances(draw):
+    # J = scale * (L @ R) with small-integer factors: the rank is exact,
+    # with no near-singular noise, and q > n, zero rows and c in range(J)
+    # all occur
+    q, n = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+    rank = draw(st.integers(0, min(q, n)))
+    left = draw(arrays(np.float64, (q, rank), elements=_SMALL_INTS))
+    right = draw(arrays(np.float64, (rank, n), elements=_SMALL_INTS))
+    jac = draw(_SCALES) * (left @ right)
+    if draw(st.booleans()):
+        jac[draw(st.integers(0, q - 1))] = 0.0
+    kind = draw(st.sampled_from(["free", "reachable", "zero"]))
+    if kind == "free":
+        c = draw(_SCALES) * draw(arrays(np.float64, q, elements=_SMALL_INTS))
+    elif kind == "reachable":
+        # c = J s0 with ||s0|| <= 1, often exactly on the unit sphere
+        s0 = draw(arrays(np.float64, n, elements=_SMALL_INTS))
+        c = jac @ (s0 / max(1.0, float(np.linalg.norm(s0))))
+    else:
+        c = np.zeros(q)
+    return c, jac
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_theta_instances())
+def test_theta_exact_solve_properties(instance):
+    c, jac = instance
+    r = theta(c, jac)
+    assert r.gap <= 1e-8
+    upper = min(float(np.linalg.norm(c)), float(np.linalg.norm(jac, 2)))
+    assert 0.0 <= r.measure <= upper + 1e-7
+    assert np.linalg.norm(r.s_star) <= 1.0 + 1e-12
+
+
+def test_theta_exact_on_hard_instances():
+    # c = J s0 with ||s0|| = 1: the minimizer sits on the unit sphere and
+    # the residual vanishes
+    c = np.array([141.42135623730948, 212.13203435596424])
+    jac = np.array([[0.0, -100.0, 0.0, 100.0], [300.0, 0.0, 0.0, 300.0]])
+    r = theta(c, jac)
+    assert abs(r.measure - np.linalg.norm(c)) < 1e-9
+    assert np.linalg.norm(r.s_star) <= 1.0 + 1e-12
+    # singular values 1.9e4, 4.3e-3 and ~1e-19: forming J'J would square the
+    # condition number and lose the middle direction
+    c = np.array([0.07608186526484836, 0.5920954627099382, -0.1345537951199049])
+    jac = np.array([
+        [5000.213314959913, 9135.52290200634, 16032.490331484863],
+        [0.00027592395605318575, -0.008408308946858425, -0.011398700485239388],
+        [0.00026777349432192694, -0.0005775395850889268, -0.0006116784979754924],
+    ])
+    r = theta(c, jac)
+    assert abs(r.measure - 0.008807431578686575) < 1e-10
+    assert np.linalg.norm(r.s_star) <= 1.0 + 1e-12
 
 
 def test_theta_range_and_gap():
@@ -237,10 +307,14 @@ def test_phi_near_parallel_gradient_regression():
 
 
 def test_phi_nan_gradient_raises():
-    with pytest.raises(SubsolverError):
+    with pytest.raises(SubsolverError, match="phi input g has a non-finite entry"):
         phi(np.array([np.nan, 1.0]), np.array([0.5]), np.array([[1.0, 1.0]]), 2.0)
-    with pytest.raises(SubsolverError):
+    with pytest.raises(SubsolverError, match="phi input g has a non-finite entry"):
         phi(np.array([np.nan, 1.0]), np.array([0.5, 0.1]), np.eye(2), 2.0)
+    with pytest.raises(SubsolverError, match="phi input c has a non-finite entry"):
+        phi(np.zeros(2), np.array([0.5, np.inf]), np.eye(2), 2.0)
+    with pytest.raises(SubsolverError, match="phi input jac has a non-finite entry"):
+        phi(np.zeros(2), np.array([0.5]), np.array([[np.nan, 1.0]]), 2.0)
 
 
 def test_phi_rejects_negative_rho():

@@ -1,20 +1,20 @@
 """Tests for Gaussian-smoothing estimators and the zeroth-order solver."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from counting_oracle import CountingGaussianOracle
 from spen import (
     ConfigError,
     ConstrainedProblem,
-    CountingOracle,
     DomainError,
     GaussianOracle,
     ProblemConstants,
     RandomStream,
     SolverBudget,
-    gaussian_gradient_sample,
     prox_step,
     sigma_tilde_sq,
     smoothed_reference,
@@ -51,22 +51,23 @@ def _quad_problem(h_diag, sigma=0.0):
 
 
 def test_two_point_sample_linear_exact():
-    # for linear f the draw is <a, v>*v and shared noise cancels exactly
+    # an m=1 batch is one two-point draw: for linear f it is <a, v>*v and
+    # the shared noise cancels exactly
     a = np.array([1.0, -2.0, 0.5])
     prob = _linear_problem(a, sigma=1.5)
     stream = RandomStream(4, (2,))
-    got = gaussian_gradient_sample(prob, np.zeros(3), 0.1, stream)
+    got = szo_gradient_batch(prob, np.zeros(3), 0.1, 1, stream)
     v = stream.generator().standard_normal(3)
     assert np.allclose(got, (a @ v) * v, atol=1e-10)
 
 
 def test_two_point_sample_deterministic():
     prob = _linear_problem([2.0, 1.0], sigma=0.7)
-    a = gaussian_gradient_sample(prob, np.ones(2), 0.05, RandomStream(1))
-    b = gaussian_gradient_sample(prob, np.ones(2), 0.05, RandomStream(1))
+    a = szo_gradient_batch(prob, np.ones(2), 0.05, 1, RandomStream(1))
+    b = szo_gradient_batch(prob, np.ones(2), 0.05, 1, RandomStream(1))
     assert np.array_equal(a, b)
     with pytest.raises(ConfigError):
-        gaussian_gradient_sample(prob, np.ones(2), 0.0, RandomStream(1))
+        szo_gradient_batch(prob, np.ones(2), 0.0, 1, RandomStream(1))
 
 
 def test_two_point_sample_unbiased():
@@ -74,7 +75,7 @@ def test_two_point_sample_unbiased():
     prob = _linear_problem(a, sigma=0.3)
     root = RandomStream(9)
     draws = np.stack([
-        gaussian_gradient_sample(prob, np.zeros(2), 0.01, root.child(i))
+        szo_gradient_batch(prob, np.zeros(2), 0.01, 1, root.child(i))
         for i in range(20000)
     ])
     se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
@@ -152,8 +153,9 @@ def test_szo_solver_requires_smoothing_radius():
 def test_szo_solver_deterministic_and_counts():
     prob = _quad_problem([1.0, 2.0], sigma=0.2)
     budget = SolverBudget(n_bar=40, m=4, gamma=0.5, L=2.0, mu=0.05)
-    counter = CountingOracle(prob.oracle)
-    r1 = solve_nsco_szo(prob, 1.0, np.ones(2), budget, RandomStream(8), oracle=counter)
+    counter = CountingGaussianOracle(prob.oracle)
+    counted = replace(prob, oracle=counter)
+    r1 = solve_nsco_szo(counted, 1.0, np.ones(2), budget, RandomStream(8))
     r2 = solve_nsco_szo(prob, 1.0, np.ones(2), budget, RandomStream(8))
     assert r1.R == r2.R
     assert np.array_equal(r1.x_R, r2.x_R)
