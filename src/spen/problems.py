@@ -140,22 +140,30 @@ class GaussianOracle:
     def value_pair_batch(
         self, xs_a: np.ndarray, xs_b: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Row-wise value pairs; row ``i`` of both outputs shares one noise draw."""
+        """Row-wise value pairs; row ``i`` of both outputs shares one noise draw.
+
+        ``xs_b`` may also be a single row that every pair shares; its value
+        is then computed once.  Both outputs have shape ``(m,)`` either way.
+        """
         if self._value is None:
             raise OracleKindError("oracle provides no value (SZO) samples")
         xs_a = np.asarray(xs_a, dtype=float)
         xs_b = np.asarray(xs_b, dtype=float)
-        m = xs_a.shape[0]
+        m, m_b = xs_a.shape[0], xs_b.shape[0]
+        if m_b not in (1, m):
+            raise DomainError(f"value pair batch has {m} first and {m_b} second points")
         if self.vectorized:
             fa = np.asarray(self._value(xs_a), dtype=float).reshape(m)
-            fb = np.asarray(self._value(xs_b), dtype=float).reshape(m)
+            fb = np.asarray(self._value(xs_b), dtype=float).reshape(m_b)
         else:
             fa = np.array([float(self._value(xs_a[i])) for i in range(m)])
-            fb = np.array([float(self._value(xs_b[i])) for i in range(m)])
+            fb = np.array([float(self._value(xs_b[i])) for i in range(m_b)])
         if self.sigma > 0.0:
             e = self.sigma * rng.standard_normal(m)
             fa = fa + e
             fb = fb + e
+        elif m_b < m:
+            fb = np.repeat(fb, m)
         return fa, fb
 
 

@@ -4,7 +4,8 @@ Three deterministic building blocks live here:
 
 * :func:`prox_step` solves the proximal linearization
   ``min_u <g, u-x> + rho*||c + J(u-x)|| + ||u-x||^2/(2*gamma)``
-  through its dual, a concave quadratic over the radius-``rho`` ball.
+  through its dual, a concave quadratic over the radius-``rho`` ball, with
+  the closed-form gap ``rho*||t|| - <lam, t>``, ``t = c + J(u-x)``.
 * :func:`theta` evaluates the infeasibility stationarity measure
   ``||c|| - min_{||s||<=1} ||c + J s||``.
 * :func:`phi` evaluates the penalty steering measure
@@ -75,6 +76,11 @@ def _proj_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return v * (radius / nv)
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float vector, the same bits as ``np.linalg.norm``."""
+    return math.sqrt(v.dot(v))
+
+
 def _golden_section(fn, lo: float, hi: float, iters: int = 96) -> float:
     """Argmin of a convex scalar function on [lo, hi]."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -94,15 +100,6 @@ def _golden_section(fn, lo: float, hi: float, iters: int = 96) -> float:
     return 0.5 * (a + b)
 
 
-def _prox_primal(d, g, c, jac, rho, gamma):
-    return float(g @ d + rho * np.linalg.norm(c + jac @ d) + d @ d / (2.0 * gamma))
-
-
-def _prox_dual(lam, g, c, jac, gamma):
-    r = g + jac.T @ lam
-    return float(lam @ c - 0.5 * gamma * (r @ r))
-
-
 def _secular_root(w: np.ndarray, beta: np.ndarray, radius: float) -> float:
     """Solve sum(beta^2/(w+nu)^2) = radius^2 for nu > 0.
 
@@ -110,7 +107,7 @@ def _secular_root(w: np.ndarray, beta: np.ndarray, radius: float) -> float:
     the root is bracketed in (0, ||beta||/radius] and polished by a
     safeguarded Newton iteration on 1/||lam(nu)|| - 1/radius.
     """
-    norm_b = float(np.linalg.norm(beta))
+    norm_b = _norm(beta)
     if norm_b == 0.0:
         return 0.0
     hi = norm_b / radius
@@ -128,8 +125,7 @@ def _secular_root(w: np.ndarray, beta: np.ndarray, radius: float) -> float:
         if abs(f) <= 1e-15 / radius:
             break
         fp = float(np.sum(beta**2 / denom**3)) / (lam_norm_sq * lam_norm)
-        step = f / fp
-        nu_new = nu - step
+        nu_new = nu - f / fp
         if not (lo < nu_new < hi):
             nu_new = 0.5 * (lo + hi)
         if abs(nu_new - nu) <= 1e-16 * max(1.0, nu):
@@ -139,38 +135,37 @@ def _secular_root(w: np.ndarray, beta: np.ndarray, radius: float) -> float:
     return nu
 
 
-def _scalar_dual(a: float, b: float, radius: float) -> float:
-    """Maximize ``b*lam - a*lam^2/2`` over ``|lam| <= radius``, ``a >= 0``."""
-    if a > 0.0:
-        return min(max(b / a, -radius), radius)
-    return math.copysign(radius, b) if b != 0.0 else 0.0
-
-
 def _dual_ball_quadratic(a_mat: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     """Maximize <b, lam> - 0.5*lam' A lam over ||lam|| <= radius, A PSD.
 
     Interior solutions use the least-norm stationary point; boundary
     solutions come from the secular equation in the eigenbasis of A.
     """
-    q = b.size
     if radius == 0.0:
-        return np.zeros(q)
-    if q == 1:
-        return np.array([_scalar_dual(float(a_mat[0, 0]), float(b[0]), radius)])
+        return np.zeros(b.size)
     w, q_mat = np.linalg.eigh(a_mat)
-    w = np.maximum(w, 0.0)
+    # eigenvalues ascend, so the smallest decides both the clip and the mask
+    if w[0] < 0.0:
+        w = np.maximum(w, 0.0)
     beta = q_mat.T @ b
     w_top = float(w[-1])
-    mask = w > max(w_top, 1.0) * 1e-14
-    lam_ln = q_mat @ np.where(mask, beta / np.where(mask, w, 1.0), 0.0)
-    resid = float(np.linalg.norm(a_mat @ lam_ln - b))
-    scale = float(np.linalg.norm(b)) + w_top * float(np.linalg.norm(lam_ln)) + 1.0
-    if resid <= 1e-11 * scale and float(np.linalg.norm(lam_ln)) <= radius:
+    floor = max(w_top, 1.0) * 1e-14
+    if w[0] > floor:
+        lam_ln = q_mat @ (beta / w)
+    else:
+        mask = w > floor
+        lam_ln = q_mat @ np.where(mask, beta / np.where(mask, w, 1.0), 0.0)
+    resid = _norm(a_mat @ lam_ln - b)
+    norm_ln = _norm(lam_ln)
+    if resid <= 1e-11 * (_norm(b) + w_top * norm_ln + 1.0) and norm_ln <= radius:
         return lam_ln
     nu = _secular_root(w, beta, radius)
     if nu == 0.0:
-        return lam_ln * (radius / max(float(np.linalg.norm(lam_ln)), 1e-300))
-    return q_mat @ (beta / (w + nu))
+        return lam_ln * (radius / max(norm_ln, 1e-300))
+    lam = q_mat @ (beta / (w + nu))
+    # more than rounding outside the ball: the root stopped short
+    norm_lam = _norm(lam)
+    return lam * (radius / norm_lam) if norm_lam > radius * (1.0 + 1e-14) else lam
 
 
 def prox_step(
@@ -216,13 +211,12 @@ def prox_step(
 
     Notes
     -----
-    With one constraint row ``j`` the dual is the scalar
-    ``lam = clip(b/a, -rho, rho)`` with ``a = gamma*||j||^2`` and
-    ``b = c - gamma*<j, g>``, and, since ``d`` is built from ``lam``, the
-    gap reduces to ``rho*|t| - lam*t`` for the linearized residual
-    ``t = c + <j, d>``.
+    As ``d`` is built from ``lam``, primal minus dual is exactly the gap
+    ``rho*||t|| - <lam, t>`` for the linearized residual ``t = c + J d``,
+    a certificate since ``||lam|| <= rho``.  With one constraint row ``j``
+    the dual is the scalar ``lam = clip(b/a, -rho, rho)`` with
+    ``a = gamma*||j||^2`` and ``b = c - gamma*<j, g>``.
     """
-    x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
     c = np.asarray(c, dtype=float).reshape(-1)
     jac = np.atleast_2d(np.asarray(jac, dtype=float))
@@ -234,23 +228,26 @@ def prox_step(
     if jac.shape[0] == 1:
         j = jac[0]
         c0 = float(c[0])
-        lam0 = _scalar_dual(gamma * float(j.dot(j)), c0 - gamma * float(j.dot(g)), rho)
+        a = gamma * float(j.dot(j))
+        b = c0 - gamma * float(j.dot(g))
+        if a > 0.0:
+            lam0 = min(max(b / a, -rho), rho)
+        else:
+            lam0 = math.copysign(rho, b) if b != 0.0 else 0.0
         p_gamma = g + lam0 * j
         d = -gamma * p_gamma
         t = c0 + float(j.dot(d))
         gap = rho * abs(t) - lam0 * t
         lam = np.array([lam0])
     else:
-        a_mat = gamma * (jac @ jac.T)
-        b = c - gamma * (jac @ g)
-        lam = _dual_ball_quadratic(a_mat, b, rho)
+        lam = _dual_ball_quadratic(gamma * (jac @ jac.T), c - gamma * (jac @ g), rho)
         p_gamma = g + jac.T @ lam
         d = -gamma * p_gamma
-        gap = _prox_primal(d, g, c, jac, rho, gamma) - _prox_dual(lam, g, c, jac, gamma)
-        gap = max(float(gap), 0.0)
+        t = c + jac @ d
+        gap = max(rho * _norm(t) - float(lam.dot(t)), 0.0)
     if not (gap <= tol):
         raise SubsolverError(f"prox duality gap {gap:.3e} exceeds tolerance {tol:.3e}", gap=gap)
-    return ProxResult(x_plus=x + d, d=d, lam=lam, p_gamma=p_gamma, gap=gap)
+    return ProxResult(np.asarray(x, dtype=float) + d, d, lam, p_gamma, gap)
 
 
 def _theta_q1(c: np.ndarray, jac: np.ndarray, tol: float) -> BallSubproblemResult:

@@ -58,8 +58,8 @@ def szo_gradient_batch(
 
 def _two_point_mean(src, x: np.ndarray, mu: float, m: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal((m, x.size))
-    base = np.broadcast_to(x, v.shape)
-    f_shift, f_base = src.value_pair_batch(x + mu * v, base, rng)
+    # one shared base row: f(x) is computed once, the ledger still counts 2m
+    f_shift, f_base = src.value_pair_batch(x + mu * v, x[None], rng)
     return (((f_shift - f_base) / mu)[:, None] * v).mean(axis=0)
 
 

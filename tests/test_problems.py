@@ -137,6 +137,17 @@ def test_value_pair_batch_matches_loop():
     # row-wise noise cancels in the difference
     exact = value(xa) - value(xb)
     assert np.allclose(fa1 - fb1, exact, atol=1e-12)
+    # one second row shared by every pair: same draws, outputs still (m,)
+    for sigma in (0.4, 0.0):
+        for vectorized in (True, False):
+            orc = GaussianOracle(value=value, sigma=sigma, vectorized=vectorized)
+            fa3, fb3 = orc.value_pair_batch(xa, xb[:1], np.random.default_rng(77))
+            fa4, fb4 = orc.value_pair_batch(xa, np.tile(xb[0], (6, 1)), np.random.default_rng(77))
+            assert fb3.shape == (6,)
+            assert np.array_equal(fa3, fa4)
+            assert np.array_equal(fb3, fb4)
+    with pytest.raises(DomainError):
+        vec.value_pair_batch(xa, xb[:2], np.random.default_rng(77))
 
 
 def test_oracle_kind_errors():

@@ -13,6 +13,7 @@ from grid_reference import (
     prox_reference,
     theta_reference,
 )
+from prox_reference import dual_ball_quadratic, prox_from_dual
 from spen import (
     DEFAULT_PROX_TOL,
     SubsolverError,
@@ -20,6 +21,7 @@ from spen import (
     prox_step,
     theta,
 )
+from spen.subsolvers import _dual_ball_quadratic
 
 
 def test_prox_unconstrained_direction():
@@ -134,6 +136,85 @@ def test_prox_nan_gradient_raises():
     # a zero Jacobian row takes the other branch of the scalar dual
     with pytest.raises(SubsolverError):
         prox_step(np.zeros(2), g, np.array([0.5]), np.zeros((1, 2)), 1.0, 0.5)
+
+
+def _q2_prox_instance(rng):
+    # q in 2..4 and n in 1..5; half the Jacobians are products of a
+    # small-integer factor and a Gaussian one, so rank deficiency and q > n
+    # are common; the dual scales like 1/(gamma*scale), so rho spans well
+    # inside to far outside the least-norm dual
+    q, n = int(rng.integers(2, 5)), int(rng.integers(1, 6))
+    scale = 10.0 ** rng.uniform(-2.0, 2.0)
+    if rng.random() < 0.5:
+        jac = rng.standard_normal((q, n))
+    else:
+        rank = int(rng.integers(0, min(q, n) + 1))
+        jac = rng.integers(-3, 4, (q, rank)).astype(float) @ rng.standard_normal((rank, n))
+    jac = scale * jac
+    g = scale * rng.standard_normal(n)
+    c = scale * rng.uniform(0.0, 2.0) * rng.standard_normal(q)
+    gamma = float(rng.uniform(0.05, 2.0))
+    rho = float(10.0 ** rng.uniform(-1.0, 2.0)) / (gamma * scale)
+    return rng.standard_normal(n), g, c, jac, rho, gamma
+
+
+def test_prox_q2_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(20)
+    interior = boundary = 0
+    for _ in range(2400):
+        x, g, c, jac, rho, gamma = _q2_prox_instance(rng)
+        pr = prox_step(x, g, c, jac, rho, gamma, tol=np.inf)
+        lam = dual_ball_quadratic(gamma * (jac @ jac.T), c - gamma * (jac @ g), rho)
+        norm_lam = float(np.linalg.norm(lam))
+        # the one intended change: a dual outside the ball by more than
+        # rounding is pulled back onto the sphere
+        if norm_lam > rho * (1.0 + 1e-14):
+            lam = lam * (rho / norm_lam)
+        x_plus, d, p_gamma, primal, dual = prox_from_dual(x, g, c, jac, rho, gamma, lam)
+        assert np.array_equal(pr.lam, lam)
+        assert np.array_equal(pr.d, d)
+        assert np.array_equal(pr.p_gamma, p_gamma)
+        assert np.array_equal(pr.x_plus, x_plus)
+        assert abs(pr.gap - (primal - dual)) <= 1e-12 * max(1.0, abs(primal))
+        if norm_lam < rho * (1.0 - 1e-9):
+            interior += 1
+        else:
+            boundary += 1
+    # a singular J J' with c outside its range forces the boundary
+    assert interior > 300 and boundary > 300
+
+
+@st.composite
+def _unit_prox_instances(draw):
+    q, n = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+    rank = draw(st.integers(0, min(q, n)))
+    left = draw(arrays(np.float64, (q, rank), elements=_SMALL_INTS))
+    right = draw(arrays(np.float64, (rank, n), elements=st.floats(-1.0, 1.0)))
+    unit = st.floats(-1.0, 1.0)
+    g = draw(arrays(np.float64, n, elements=unit))
+    c = draw(arrays(np.float64, q, elements=unit))
+    rho = draw(st.one_of(st.just(0.0), st.floats(0.01, 4.0)))
+    gamma = draw(st.floats(0.05, 2.0))
+    return g, c, left @ right, rho, gamma
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_unit_prox_instances())
+def test_prox_q2_certificate_properties(instance):
+    g, c, jac, rho, gamma = instance
+    pr = prox_step(np.zeros(g.size), g, c, jac, rho, gamma)
+    assert np.linalg.norm(pr.lam) <= rho * (1.0 + 1e-14)
+    assert np.linalg.norm(g + jac.T @ pr.lam + pr.d / gamma) < 1e-10
+    assert 0.0 <= pr.gap <= DEFAULT_PROX_TOL
+
+
+def test_dual_ball_quadratic_stays_in_ball():
+    # the least-norm point overshoots the radius by one ulp and the secular
+    # iteration stops short of a ~1e-21 root: the dual came out at norm 1.0021
+    jac = np.array([[5e-4, 1e-3], [5e-4, 1e-3]])
+    c = np.array([0.001118033988749895] * 2)
+    lam = _dual_ball_quadratic(jac.T @ jac, -jac.T @ c, 1.0)
+    assert np.linalg.norm(lam) <= 1.0
 
 
 def test_theta_closed_forms():

@@ -186,6 +186,34 @@ def test_szo_solver_matches_manual_loop():
     assert np.array_equal(res.G_R, batch(x))
 
 
+def test_szo_batch_evaluates_shared_base_once():
+    # f(x) is computed once per batch: m + 1 evaluated rows, while the
+    # ledger still counts 2m value calls
+    rows = []
+
+    def value(xs):
+        rows.append(1 if xs.ndim == 1 else xs.shape[0])
+        return 0.5 * (xs**2).sum(axis=-1)
+
+    for sigma in (0.0, 0.3):
+        for vectorized in (True, False):
+            prob = ConstrainedProblem(
+                n=2,
+                q=1,
+                constraints=lambda x: (np.zeros(1), np.zeros((1, 2))),
+                oracle=GaussianOracle(value=value, sigma=sigma, vectorized=vectorized),
+                constants=ProblemConstants(L_g=1.0, sigma=sigma),
+            )
+            rows.clear()
+            szo_gradient_batch(prob, np.ones(2), 0.1, 5, RandomStream(3))
+            assert sum(rows) == 6
+            rows.clear()
+            budget = SolverBudget(n_bar=40, m=4, gamma=0.5, L=2.0, mu=0.05)
+            res = solve_nsco_szo(prob, 1.0, np.ones(2), budget, RandomStream(3), stop_index=3)
+            assert sum(rows) == 3 * (4 + 1)
+            assert res.oracle_calls == 2 * 4 * 3
+
+
 def test_szo_solver_rejects_non_finite_batch():
     calls = []
 
