@@ -54,7 +54,6 @@ from .problems import (
     ProblemConstants,
     RandomStream,
     eval_constraints,
-    spectral_norm,
 )
 from .sfo import (
     NscoRunResult,
@@ -84,7 +83,6 @@ from .szo import (
     solve_nsco_szo,
     szo_budget,
     szo_gradient_batch,
-    szo_stationarity_bound,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,6 @@ from .harness import build_problem, monte_carlo, slope_fit, write_records
 from .penalty import certificate_from_estimates, run_penalty
 from .problems import ConstrainedProblem, RandomStream, eval_constraints
 from .sfo import batch_gradient
-from .stats import mean_estimate
 from .subsolvers import phi, prox_step, theta
 from .szo import smoothed_reference
 

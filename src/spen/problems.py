@@ -25,7 +25,6 @@ __all__ = [
     "KnownSolution",
     "ConstrainedProblem",
     "eval_constraints",
-    "spectral_norm",
 ]
 
 
@@ -82,14 +81,6 @@ class ProblemConstants:
                 raise ConfigError(f"constant {n} must be > 0, got {v}")
             if n == "sigma" and v < 0.0:
                 raise ConfigError(f"constant sigma must be >= 0, got {v}")
-
-
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value; 0.0 for an all-zero matrix."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if not np.any(a):
-        return 0.0
-    return float(np.linalg.norm(a, 2))
 
 
 class GaussianOracle:

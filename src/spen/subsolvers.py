@@ -11,8 +11,9 @@ Three deterministic building blocks live here:
 * :func:`phi` evaluates the penalty steering measure
   ``rho*||c|| - min_{||s||<=1} ( <g, s> + rho*||c + J s|| )``.
 
-Every solve returns a duality-gap certificate so callers never have to
-trust iteration counts.
+All three are exact up to rounding, through the secular equation of a
+ball-constrained quadratic, and return a duality-gap certificate so
+callers never have to trust iteration counts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SubsolverError
-from .problems import spectral_norm
 
 __all__ = [
     "ProxResult",
@@ -35,7 +35,6 @@ __all__ = [
 
 DEFAULT_PROX_TOL = 1e-10
 DEFAULT_MEASURE_TOL = 1e-8
-MAX_SUBSOLVER_ITERS = 100_000
 
 
 @dataclass(frozen=True)
@@ -69,35 +68,9 @@ class BallSubproblemResult:
     measure: float
 
 
-def _proj_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    nv = float(np.linalg.norm(v))
-    if nv <= radius:
-        return v
-    return v * (radius / nv)
-
-
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a 1-D float vector, the same bits as ``np.linalg.norm``."""
     return math.sqrt(v.dot(v))
-
-
-def _golden_section(fn, lo: float, hi: float, iters: int = 96) -> float:
-    """Argmin of a convex scalar function on [lo, hi]."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = fn(x2)
-    return 0.5 * (a + b)
 
 
 def _secular_root(w: np.ndarray, beta: np.ndarray, radius: float) -> float:
@@ -314,55 +287,6 @@ def theta(c: np.ndarray, jac: np.ndarray, tol: float = DEFAULT_MEASURE_TOL) -> B
     return BallSubproblemResult(s, value, gap, max(float(np.linalg.norm(c)) - value, 0.0))
 
 
-def _phi_q1(
-    g: np.ndarray, c: np.ndarray, jac: np.ndarray, rho: float, tol: float
-) -> BallSubproblemResult:
-    # decompose s along the single constraint gradient and its complement
-    j = jac[0]
-    nj = float(np.linalg.norm(j))
-    c0 = float(c[0])
-    norm_g = float(np.linalg.norm(g))
-    if nj == 0.0:
-        s = -g / norm_g if norm_g > 0.0 else np.zeros(g.size)
-        value = float(g @ s) + rho * abs(c0)
-        return BallSubproblemResult(s, value, 0.0, max(rho * abs(c0) - value, 0.0))
-    a = float(g @ j) / nj**2
-    g_perp = g - a * j
-    b = float(np.linalg.norm(g_perp))
-
-    def objective_t(t):
-        r = np.sqrt(max(1.0 - (t / nj) ** 2, 0.0))
-        return a * t - b * r + rho * abs(c0 + t)
-
-    t_star = _golden_section(objective_t, -nj, nj)
-    for cand in (t_star, float(np.clip(-c0, -nj, nj)), -nj, nj, 0.0):
-        if -nj <= cand <= nj and objective_t(cand) < objective_t(t_star):
-            t_star = cand
-    radial = np.sqrt(max(1.0 - (t_star / nj) ** 2, 0.0))
-    s = (t_star / nj**2) * j
-    if b > 1e-12 * max(norm_g, 1.0):
-        # re-orthogonalize against j so a cancellation-noise g_perp cannot
-        # fabricate a direction with a component along j (for n = 1 the
-        # complement is empty and u collapses to zero)
-        u = g_perp - (float(g_perp @ j) / nj**2) * j
-        u_norm = float(np.linalg.norm(u))
-        if u_norm > 0.0:
-            s = s - radial * (u / u_norm)
-    value = float(g @ s) + rho * abs(c0 + float(j @ s))
-
-    def neg_dual(lam):
-        return -(lam * c0 - float(np.linalg.norm(g + lam * j)))
-
-    lam_star = _golden_section(neg_dual, -rho, rho)
-    dual_val = -neg_dual(lam_star)
-    gap = max(value - dual_val, 0.0)
-    if not (gap <= tol):
-        raise SubsolverError(
-            f"phi subsolver stalled at duality gap {gap:.3e} (tolerance {tol:.3e})", gap=gap
-        )
-    return BallSubproblemResult(s, value, gap, max(rho * abs(c0) - value, 0.0))
-
-
 def phi(
     g: np.ndarray,
     c: np.ndarray,
@@ -372,56 +296,100 @@ def phi(
 ) -> BallSubproblemResult:
     """Penalty steering measure of the linearized model.
 
-    Evaluates ``rho*||c|| - min_{||s||<=1} ( <g, s> + rho*||c + J s|| )``.
-    With a single constraint the inner problem reduces to a convex scalar
-    problem solved by golden section on both the primal and the dual; for
-    ``q >= 2`` a primal-dual hybrid gradient iteration on the saddle form
-    ``min_{||s||<=1} max_{||lam||<=rho} <g, s> + <lam, c + J s>`` is used,
-    with step sizes satisfying ``tau * sigma * ||J||^2 <= 1``.  The duality
-    gap of the best primal-dual pair certifies ``value``.
+    Evaluates ``rho*||c|| - min_{||s||<=1} ( <g, s> + rho*||c + J s|| )``
+    exactly, for any number of constraints.  With ``mu*||s||^2/2`` added
+    (``mu > 0``) this is the prox problem at ``gamma = 1/mu``, whose dual
+    ``lam(mu)`` has ball multiplier ``nu``: ``s(mu)`` solves
+    ``g + J' lam + mu*s = 0`` and ``c + J s = (nu/mu)*lam``, which the
+    singular basis of ``J`` turns into sums without cancellation, and
+    ``nu/mu`` is a root of the secular equation.  ``||s(mu)||`` does not
+    increase with ``mu``; a regula falsi (Illinois, bisecting when the
+    bracket fails to halve) finds ``||s(mu)|| = 1`` in
+    ``(0, ||g|| + rho*||J||_F]``.  At ``mu = 0`` the least-norm minimizer
+    of ``||g + J' lam||``, moved within null(J') towards ``c`` out to the
+    sphere, gives ``s`` in closed form: the optimum if ``g`` lies in the
+    row space of ``J`` and ``s`` fits the ball, else the search's seed.
+
+    ``gap`` is ``P(s) - D(lam)``, ``D(lam) = <lam, c> - ||g + J' lam||``, for
+    the best points seen (``s`` scaled into the ball); a negative ``rho``, a
+    non-finite input or a gap above ``tol`` raises ``SubsolverError``.
     """
     g = np.asarray(g, dtype=float)
     c = np.asarray(c, dtype=float).reshape(-1)
     jac = np.atleast_2d(np.asarray(jac, dtype=float))
-    q, n = jac.shape
     if rho < 0.0:
         raise SubsolverError(f"penalty parameter must be >= 0, got {rho}")
     _require_finite("phi", g=g, c=c, jac=jac)
-    if q == 1:
-        return _phi_q1(g, c, jac, rho, tol)
+    if rho == 0.0:  # the constraint term vanishes
+        c, jac = np.zeros(1), np.zeros((1, g.size))
+    # J = U diag(sv) V'; as in theta, sv below 1e-14 of the largest is zero
+    u, sv, vt = np.linalg.svd(jac)
+    k = int(np.count_nonzero(sv > sv[0] * 1e-14))
+    sig, w = sv[:k], sv[:k] ** 2
+    gt, ct = vt @ g, u.T @ c
+    g_r, g_n, c_r, c_n = gt[:k], gt[k:], ct[:k], ct[k:]
+    best_p, best_s, best_d = math.inf, np.zeros(g.size), -math.inf
 
-    jn = spectral_norm(jac)
-    step = 1.0 / jn if jn > 0.0 else 1.0
-    rho_c = rho * float(np.linalg.norm(c))
+    def offer(mu, ratio):
+        # record the path point at mu with nu/mu = ratio; return ||s(mu)||
+        nonlocal best_p, best_s, best_d
+        lam = u @ np.concatenate((
+            (mu * c_r - sig * g_r) / (ratio * mu + w),
+            c_n / ratio if ratio > 0.0 else np.zeros(c_n.size),
+        ))
+        # s is -g_n/mu along null(J), and in the row space of J it solves
+        # c + J s = ratio*lam: a solve and one refinement step
+        s = vt[k:].T @ (g_n / -mu) if mu > 0.0 else np.zeros(g.size)
+        for _ in range(2):
+            s -= vt[:k].T @ ((u[:, :k].T @ (c + jac @ s - ratio * lam)) / sig)
+        norm_s = _norm(s)
+        s = s / max(norm_s, 1.0)
+        p = float(g @ s) + rho * _norm(c + jac @ s)
+        if p < best_p:
+            best_p, best_s = p, s
+        best_d = max(best_d, float(lam @ c) - _norm(g + jac.T @ lam))
+        return norm_s
 
-    def primal(s):
-        return float(g @ s) + rho * float(np.linalg.norm(c + jac @ s))
-
-    def dual(lam):
-        return float(lam @ c) - float(np.linalg.norm(g + jac.T @ lam))
-
-    s = np.zeros(n)
-    lam = np.zeros(q)
-    s_bar = s.copy()
-    best_p, best_s = primal(s), s
-    best_d = dual(lam)
-    for it in range(1, MAX_SUBSOLVER_ITERS + 1):
-        lam = _proj_ball(lam + step * (c + jac @ s_bar), rho)
-        s_new = _proj_ball(s - step * (g + jac.T @ lam), 1.0)
-        s_bar = 2.0 * s_new - s
-        s = s_new
-        if it % 25 == 0:
-            p_now = primal(s)
-            if p_now < best_p:
-                best_p, best_s = p_now, s.copy()
-            d_now = dual(lam)
-            if d_now > best_d:
-                best_d = d_now
-            if not (best_p - best_d > tol):  # converged, or a NaN gap
-                break
+    # mu = 0: lam0 = U(-g_r/sig), plus the slack of the ball along c_n
+    slack_sq = rho * rho - float(g_r @ (g_r / w))
+    done, guess = False, 0.0
+    if slack_sq > 0.0 or (slack_sq == 0.0 and not c_n.any()):
+        norm_s0 = offer(0.0, _norm(c_n) / math.sqrt(slack_sq) if c_n.any() else 0.0)
+        done = norm_s0 <= 1.0 and not g_n.any()
+        if norm_s0 < 1.0:
+            # the root if the mu = 0 point held: ||g_n||/mu fills the ball
+            guess = _norm(g_n) / math.sqrt(1.0 - norm_s0 * norm_s0)
+    lo, f_lo, f_hi, side, width = 0.0, -1.0, 0.0, 0, math.inf
+    mu = hi = (_norm(g) + rho * _norm(jac.ravel())) or 1.0
+    for _ in range(0 if done else 200):
+        # nu/mu is 0 while the least-norm dual fits the ball
+        beta = np.concatenate((c_r - sig * g_r / mu, c_n))
+        if not c_n.any() and _norm(beta[:k] * (mu / w)) <= rho:
+            norm_s = offer(mu, 0.0)
+        else:
+            norm_s = offer(mu, _secular_root(np.append(w / mu, 0.0 * c_n), beta, rho))
+        f = 1.0 / norm_s - 1.0 if norm_s > 0.0 else 0.0  # s = 0 is optimal
+        if f > 0.0:
+            hi, f_hi = mu, f
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+        elif f < 0.0:
+            lo, f_lo = mu, f
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+        else:  # a root, or NaN
+            break
+        mu = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if hi - lo > 0.5 * width:  # a bracket that did not halve is bisected
+            mu = 0.5 * (lo + hi)
+        width = hi - lo
+        if lo < guess < hi:
+            mu, guess = guess, 0.0
+        if not lo < mu < hi:
+            break
     gap = max(best_p - best_d, 0.0)
     if not (gap <= tol):
-        raise SubsolverError(
-            f"phi subsolver stalled at duality gap {gap:.3e} (tolerance {tol:.3e})", gap=gap
-        )
-    return BallSubproblemResult(best_s, best_p, gap, max(rho_c - best_p, 0.0))
+        raise SubsolverError(f"phi duality gap {gap:.3e} exceeds tolerance {tol:.3e}", gap=gap)
+    return BallSubproblemResult(best_s, best_p, gap, max(rho * _norm(c) - best_p, 0.0))

@@ -28,7 +28,6 @@ __all__ = [
     "sigma_tilde_sq",
     "szo_budget",
     "solve_nsco_szo",
-    "szo_stationarity_bound",
 ]
 
 
@@ -136,21 +135,6 @@ def szo_budget(
     m = max(1, math.ceil(min(float(n_bar), max(1.0, math.sqrt(n_bar / d2_tilde) / L))))
     mu = math.sqrt(d1_tilde / n_bar)
     return SolverBudget(n_bar=n_bar, m=m, gamma=1.0 / L, L=L, mu=mu)
-
-
-def szo_stationarity_bound(
-    budget: SolverBudget, d_phi: float, n: int, kappa_g: float, sigma: float, L_g: float
-) -> float:
-    """Guaranteed bound on ``E||g~_mu,R^r||^2`` for a run under ``budget``:
-    ``(d_phi + mu^2*L_g*n + sigma~^2*sum(gamma_k/m)) / sum(gamma_k - L*gamma_k^2/2)``.
-    """
-    if budget.mu is None:
-        raise ConfigError("stationarity bound needs a budget with a smoothing radius")
-    n_it = budget.iterations
-    st2 = sigma_tilde_sq(n, kappa_g, sigma, budget.mu, L_g)
-    num = d_phi + budget.mu**2 * L_g * n + st2 * n_it * budget.gamma / budget.m
-    den = n_it * (budget.gamma - budget.L * budget.gamma**2 / 2.0)
-    return num / den
 
 
 def solve_nsco_szo(

@@ -238,6 +238,46 @@ def test_run_penalty_converges_on_p2():
     assert result.certificate.verdict
 
 
+def _two_constraint_problem():
+    """min 0.5*||x - 1||^2 s.t. x1 + x2 + x3 = 1, x1 = x2, from x = (2, 0, -1);
+    the solution is (1/3, 1/3, 1/3).  The same problem as the benchmark's Q2."""
+    jac = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+    ones = np.ones(3)
+
+    def value(x):
+        diff = np.asarray(x, dtype=float) - ones
+        return 0.5 * np.sum(diff * diff, axis=-1)
+
+    def grad(x):
+        return np.asarray(x, dtype=float) - ones
+
+    def constraints(x):
+        return np.array([x[0] + x[1] + x[2] - 1.0, x[0] - x[1]]), jac
+
+    return ConstrainedProblem(
+        n=3,
+        q=2,
+        constraints=constraints,
+        oracle=GaussianOracle(value=value, grad=grad, sigma=0.1),
+        constants=ProblemConstants(
+            L_g=1.0, L_J=0.05, sigma=0.1, f_low=0.0, kappa_g=math.sqrt(27.0),
+            kappa_c=6.0, kappa_f=13.5, kappa_J=float(np.linalg.norm(jac, 2)),
+        ),
+        true_objective=lambda x: (float(value(x)), grad(x)),
+        x_init=np.array([2.0, 0.0, -1.0]),
+        name="Q2",
+    )
+
+
+def test_run_penalty_two_constraints_near_feasible_steering():
+    # at this seed steering evaluates phi at a point where c is ~1e-16 and
+    # g is ~1e-6 off the row space of J; an iterative phi stalled there
+    config = PenaltyConfig(epsilon=0.4, max_outer=5)
+    result = run_penalty(_two_constraint_problem(), config, RandomStream(607006))
+    assert result.certificate.verdict
+    assert np.linalg.norm(result.state.x - 1.0 / 3.0) <= math.sqrt(2.0 * 0.4)
+
+
 def test_run_penalty_without_exact_objective_uses_surrogate():
     base = build_problem(TestProblemSpec("P2", sigma=0.1))
     blind = ConstrainedProblem(

@@ -12,7 +12,6 @@ from spen import (
     ProblemConstants,
     RandomStream,
     eval_constraints,
-    spectral_norm,
 )
 
 
@@ -210,9 +209,3 @@ def test_constants_require():
         ProblemConstants(L_g=-1.0).require("L_g")
     with pytest.raises(ConfigError):
         ProblemConstants(sigma=-0.5).require("sigma")
-
-
-def test_spectral_norm():
-    assert spectral_norm(np.zeros((3, 2))) == 0.0
-    assert abs(spectral_norm(np.array([[3.0, 0.0], [0.0, 4.0]])) - 4.0) < 1e-12
-    assert abs(spectral_norm(np.array([[1.0, 1.0]])) - np.sqrt(2.0)) < 1e-12

@@ -13,6 +13,7 @@ from grid_reference import (
     prox_reference,
     theta_reference,
 )
+from phi_reference import phi as phi_iterative
 from prox_reference import dual_ball_quadratic, prox_from_dual
 from spen import (
     DEFAULT_PROX_TOL,
@@ -401,3 +402,113 @@ def test_phi_nan_gradient_raises():
 def test_phi_rejects_negative_rho():
     with pytest.raises(SubsolverError):
         phi(np.zeros(1), np.zeros(1), np.zeros((1, 1)), -1.0)
+
+
+@st.composite
+def _phi_instances(draw):
+    # J = scale * (L @ R) with small-integer factors as for theta, q = 1
+    # and J = 0 (rank 0) included; g is free, in range(J') or zero, and c
+    # is free, reachable (c = J s0 with ||s0|| near 1) or zero
+    q, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rank = draw(st.integers(0, min(q, n)))
+    left = draw(arrays(np.float64, (q, rank), elements=_SMALL_INTS))
+    right = draw(arrays(np.float64, (rank, n), elements=_SMALL_INTS))
+    jac = draw(_SCALES) * (left @ right)
+    # entries are 0 or of magnitude 1e-9 to 1, so tiny but normal
+    # components (g nearly in range(J'), say) occur
+    unit = st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-9.0, 0.0))
+    unit = unit.map(lambda p: p[0] * 10.0 ** p[1])
+    g_kind = draw(st.sampled_from(["free", "range", "zero"]))
+    if g_kind == "free":
+        g = draw(_SCALES) * draw(arrays(np.float64, n, elements=unit))
+    elif g_kind == "range":
+        g = jac.T @ (draw(_SCALES) * draw(arrays(np.float64, q, elements=unit)))
+    else:
+        g = np.zeros(n)
+    c_kind = draw(st.sampled_from(["free", "reachable", "zero"]))
+    if c_kind == "free":
+        c = draw(_SCALES) * draw(arrays(np.float64, q, elements=unit))
+    elif c_kind == "reachable":
+        s0 = draw(arrays(np.float64, n, elements=_SMALL_INTS))
+        radius = draw(st.sampled_from([1.0, 0.999, 1.001]))
+        c = jac @ (radius * s0 / max(1.0, float(np.linalg.norm(s0))))
+    else:
+        c = np.zeros(q)
+    rho = draw(st.one_of(st.just(0.0), _SCALES))
+    return g, c, jac, rho
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_phi_instances())
+def test_phi_exact_solve_properties(instance):
+    g, c, jac, rho = instance
+    r = phi(g, c, jac, rho)
+    assert r.gap <= 1e-8
+    assert np.linalg.norm(r.s_star) <= 1.0 + 1e-12
+    assert r.value == float(g @ r.s_star) + rho * np.linalg.norm(c + jac @ r.s_star)
+    assert r.measure >= 0.0
+
+
+# (g, c, rho) of phi calls made while steering on the benchmark's
+# two-constraint problem, whose Jacobian is _Q2_JAC (q2-sfo-solve op seeds
+# 607006, 1101010, 1103011, 1103019 and 1109022); c is ~1e-16 and g lies
+# ~1e-6 off the row space of J, where a primal-dual iteration stalled at
+# duality gaps 1e-6..3e-6
+_Q2_JAC = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+_Q2_NULL = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
+_STALLED_PHI_CALLS = [
+    ([-0.6449447801390822, -0.6640893602806227, -0.6545157852924184],
+     [-4.440892098500626e-16, 5.551115123125783e-17], 4.0),
+    ([-0.6893787868798468, -0.6623418305887473, -0.6758438674405001],
+     [0.0, 1.1102230246251565e-16], 3.0),
+    ([-0.6441202278501238, -0.6560345257125804, -0.6500719591354888],
+     [2.220446049250313e-16, -5.551115123125783e-17], 5.0),
+    ([-0.6711437626332575, -0.6783830886979331, -0.6747454552712002],
+     [0.0, 1.1102230246251565e-16], 3.0),
+    ([-0.651189269376639, -0.686718820482408, -0.6689368401214895],
+     [0.0, 5.551115123125783e-17], 5.0),
+]
+
+
+@pytest.mark.parametrize("g, c, rho", _STALLED_PHI_CALLS)
+def test_phi_formerly_stalled_calls(g, c, rho):
+    g, c = np.array(g), np.array(c)
+    r = phi(g, c, _Q2_JAC, rho)
+    assert r.gap <= 1e-8
+    # J has full row rank and c ~ 0: s* moves along null(J) against g
+    want = rho * np.linalg.norm(c) + abs(float(g @ _Q2_NULL))
+    assert abs(r.measure - want) < 1e-15
+
+
+def test_phi_gradient_nearly_in_row_space():
+    # g = -J' lam + eps*n with n spanning null(J), c = 0 and ||lam|| < rho:
+    # s* = -n and the measure is eps exactly, however small eps is
+    rng = np.random.default_rng(11)
+    for exponent in range(-14, -2):
+        for _ in range(20):
+            eps = 10.0 ** (exponent + rng.random())
+            g = -_Q2_JAC.T @ rng.uniform(-2.0, 2.0, 2) + eps * _Q2_NULL
+            r = phi(g, np.zeros(2), _Q2_JAC, float(rng.uniform(3.0, 20.0)))
+            assert r.gap <= 1e-14
+            assert abs(r.measure - eps) <= 1e-14
+
+
+def test_phi_matches_iterative_reference():
+    # the iterative solvers this exact solve replaced: golden section for
+    # q = 1 and a primal-dual loop for q >= 2
+    rng = np.random.default_rng(12)
+    compared = 0
+    while compared < 400:
+        q, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        rank = int(rng.integers(0, min(q, n) + 1))
+        jac = rng.integers(-3, 4, (q, rank)).astype(float) @ rng.standard_normal((rank, n))
+        g = rng.standard_normal(n)
+        c = rng.standard_normal(q) if rng.random() < 0.5 else jac @ rng.standard_normal(n)
+        rho = float(rng.uniform(0.1, 4.0))
+        try:
+            ref = phi_iterative(g, c, jac, rho)
+        except SubsolverError:
+            continue
+        compared += 1
+        r = phi(g, c, jac, rho)
+        assert ref.value - ref.gap - 1e-10 <= r.value <= ref.value + 1e-10
