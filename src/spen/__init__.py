@@ -7,7 +7,7 @@ with oracle-call budget formulas, criticality certification, and a
 Monte-Carlo experiment harness exposed through the ``spen`` command.
 """
 
-from .config import RunConfig, parse_config, serialize_config
+from .config import RunConfig, parse_config
 from .errors import (
     BudgetExceeded,
     CertificationError,
@@ -58,7 +58,6 @@ from .problems import (
 from .sfo import (
     NscoRunResult,
     SolverBudget,
-    TrajectoryPoint,
     batch_gradient,
     sample_stop_index,
     sfo_budget,

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import io
 
 from .errors import ConfigError
 from .harness import TestProblemSpec
 from .penalty import PenaltyConfig
 
-__all__ = ["RunConfig", "parse_config", "serialize_config"]
+__all__ = ["RunConfig", "parse_config"]
 
 _PROBLEM_KEYS = ("family", "n", "sigma")
 _PENALTY_KEYS = (
@@ -147,36 +146,3 @@ def parse_config(text: str) -> RunConfig:
         epsilons=epsilons,
     )
 
-
-def serialize_config(config: RunConfig) -> str:
-    """Render a configuration back to the sectioned text format.
-
-    ``parse_config(serialize_config(c))`` equals ``c``.
-    """
-    cp = configparser.ConfigParser(interpolation=None)
-    cp["problem"] = {"family": config.problem.family, "sigma": repr(config.problem.sigma)}
-    if config.problem.n is not None:
-        cp["problem"]["n"] = str(config.problem.n)
-    pen = config.penalty
-    cp["penalty"] = {
-        "epsilon": repr(pen.epsilon),
-        "xi": repr(pen.xi),
-        "tau": repr(pen.tau),
-        "rho0": repr(pen.rho0),
-        "max_outer": str(pen.max_outer),
-        "oracle_mode": pen.oracle_mode,
-        "d_tilde": repr(pen.d_tilde),
-        "d1_tilde": repr(pen.d1_tilde),
-        "d2_tilde": repr(pen.d2_tilde),
-        "early_stop": "true" if pen.early_stop else "false",
-    }
-    cp["run"] = {
-        "replications": str(config.replications),
-        "seed": str(config.seed),
-        "epsilons": ", ".join(repr(e) for e in config.epsilons),
-    }
-    if config.output is not None:
-        cp["run"]["output"] = config.output
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()

@@ -12,7 +12,7 @@ from .errors import CertificationError, ConfigError, SteeringError, SubsolverErr
 from .problems import ConstrainedProblem, ProblemConstants, RandomStream, eval_constraints
 from .sfo import SolverBudget, batch_gradient, sfo_budget, solve_nsco_sfo
 from .stats import ExpectationEstimate, mean_estimate
-from .subsolvers import DEFAULT_MEASURE_TOL, DEFAULT_PROX_TOL, phi, prox_step, theta
+from .subsolvers import DEFAULT_MEASURE_TOL, phi, prox_step, theta
 from .szo import szo_budget, solve_nsco_szo
 
 __all__ = [
@@ -61,8 +61,6 @@ class PenaltyConfig:
     d1_tilde: float = 1.0
     d2_tilde: float = 1.0
     early_stop: bool = True
-    prox_tol: float = DEFAULT_PROX_TOL
-    measure_tol: float = DEFAULT_MEASURE_TOL
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -79,7 +77,7 @@ class PenaltyConfig:
             raise ConfigError(
                 f"oracle_mode must be one of {ORACLE_MODES}, got {self.oracle_mode!r}"
             )
-        for name in ("d_tilde", "d1_tilde", "d2_tilde", "prox_tol", "measure_tol"):
+        for name in ("d_tilde", "d1_tilde", "d2_tilde"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
 
@@ -89,17 +87,15 @@ class PenaltyState:
     """Mutable snapshot of the outer loop.
 
     ``k`` counts completed steer/solve rounds, ``x`` and ``G`` are the
-    current iterate and its last gradient estimate, ``rho`` the current
-    penalty level, and ``theta``/``phi`` the measures evaluated at the
-    point the last steering step saw.  ``oracle_calls`` is cumulative.
+    current iterate and its last gradient estimate, and ``rho`` the current
+    penalty level.  ``oracle_calls`` is cumulative.  Each round's steering
+    measures are kept in its ``RunRecord``.
     """
 
     k: int
     x: np.ndarray
     G: np.ndarray
     rho: float
-    theta: float = math.nan
-    phi: float = math.nan
     oracle_calls: int = 0
 
 
@@ -193,17 +189,17 @@ def steer_penalty(
     state: PenaltyState,
     xi: float,
     tau: float,
-    tol: float = DEFAULT_MEASURE_TOL,
 ) -> SteeringResult:
     """Choose the next penalty level at the current iterate.
 
-    Evaluates ``theta(x)``.  When ``theta <= tol`` the steering condition
-    ``phi_rho >= rho*xi*theta`` holds for any level (phi is nonnegative),
-    so the minimal increase ``rho + tau`` is returned.  Otherwise the
-    minimal increase is tried first; if the evaluated condition fails, the
-    level jumps to the sufficient bound ``||G||/((1-xi)*theta)`` and then
-    doubles, at most ``MAX_STEER_DOUBLINGS`` times, until the condition
-    holds within ``tol``.
+    Evaluates ``theta(x)``.  When ``theta <= DEFAULT_MEASURE_TOL`` the
+    steering condition ``phi_rho >= rho*xi*theta`` holds for any level (phi
+    is nonnegative), so the minimal increase ``rho + tau`` is returned.
+    Otherwise the minimal increase is tried first; if the evaluated
+    condition fails, the level jumps to the sufficient bound
+    ``||G||/((1-xi)*theta)`` and then doubles, at most
+    ``MAX_STEER_DOUBLINGS`` times, until the condition holds within
+    ``DEFAULT_MEASURE_TOL``, the tolerance the measures are solved to.
 
     Parameters
     ----------
@@ -216,8 +212,6 @@ def steer_penalty(
         Steering parameter in (0, 1).
     tau : float
         Minimal increase, > 0.
-    tol : float, optional
-        Tolerance for the measure subsolvers and the acceptance slack.
 
     Returns
     -------
@@ -237,20 +231,20 @@ def steer_penalty(
     if tau <= 0.0:
         raise ConfigError(f"tau must be > 0, got {tau}")
     c, jac = eval_constraints(problem, state.x)
-    th = _finite_measure("theta", theta(c, jac, tol).measure)
+    th = _finite_measure("theta", theta(c, jac).measure)
 
     def phi_at(rho_val):
-        return _finite_measure("phi", phi(state.G, c, jac, rho_val, tol).measure)
+        return _finite_measure("phi", phi(state.G, c, jac, rho_val).measure)
 
     candidate = state.rho + tau
     ph = phi_at(candidate)
-    if th <= tol or ph >= candidate * xi * th - tol:
+    if th <= DEFAULT_MEASURE_TOL or ph >= candidate * xi * th - DEFAULT_MEASURE_TOL:
         return SteeringResult(rho=candidate, theta=th, phi=ph, attempts=1)
     g_norm = float(np.linalg.norm(state.G))
     rho_val = max(candidate, g_norm / ((1.0 - xi) * th))
     for attempt in range(MAX_STEER_DOUBLINGS + 1):
         ph = phi_at(rho_val)
-        if ph >= rho_val * xi * th - tol:
+        if ph >= rho_val * xi * th - DEFAULT_MEASURE_TOL:
             return SteeringResult(rho=rho_val, theta=th, phi=ph, attempts=attempt + 2)
         rho_val *= 2.0
     raise SteeringError(
@@ -474,10 +468,8 @@ def run_penalty(
     gamma_last = math.nan
     try:
         for k in range(1, config.max_outer):
-            steered = steer_penalty(problem, state, config.xi, config.tau, config.measure_tol)
+            steered = steer_penalty(problem, state, config.xi, config.tau)
             state.rho = steered.rho
-            state.theta = steered.theta
-            state.phi = steered.phi
             budget = subproblem_budget_for_rho(
                 state.rho,
                 config.epsilon,
@@ -488,9 +480,7 @@ def run_penalty(
                 d1_tilde=config.d1_tilde,
                 d2_tilde=config.d2_tilde,
             )
-            res = solver(
-                problem, state.rho, state.x, budget, stream.child(k), tol=config.prox_tol
-            )
+            res = solver(problem, state.rho, state.x, budget, stream.child(k))
             state.k = k
             state.x = res.x_R
             state.G = res.G_R
@@ -499,9 +489,7 @@ def run_penalty(
             crit_sq = None
             if problem.true_objective is not None:
                 c_new, jac_new = eval_constraints(problem, state.x)
-                pr = prox_step(
-                    state.x, state.G, c_new, jac_new, state.rho, budget.gamma, config.prox_tol
-                )
+                pr = prox_step(state.x, state.G, c_new, jac_new, state.rho, budget.gamma)
                 crit_sq = _exact_crit_sq(problem, state.x, pr.lam, jac_new)
             records.append(
                 RunRecord(
@@ -524,9 +512,9 @@ def run_penalty(
         raise
 
     c_fin, jac_fin = eval_constraints(problem, state.x)
-    pr_fin = prox_step(state.x, state.G, c_fin, jac_fin, state.rho, gamma_last, config.prox_tol)
+    pr_fin = prox_step(state.x, state.G, c_fin, jac_fin, state.rho, gamma_last)
     lam = pr_fin.lam
-    th_fin = theta(c_fin, jac_fin, config.measure_tol).measure
+    th_fin = theta(c_fin, jac_fin).measure
     if problem.true_objective is not None:
         crit_fin = _exact_crit_sq(problem, state.x, lam, jac_fin)
     else:

@@ -21,12 +21,11 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .problems import ConstrainedProblem, RandomStream, eval_constraints
-from .subsolvers import DEFAULT_PROX_TOL, prox_step
+from .subsolvers import prox_step
 
 __all__ = [
     "SolverBudget",
     "NscoRunResult",
-    "TrajectoryPoint",
     "stopping_pmf",
     "sample_stop_index",
     "sfo_budget",
@@ -71,31 +70,19 @@ class SolverBudget:
 
 
 @dataclass(frozen=True)
-class TrajectoryPoint:
-    k: int
-    phi_h: float | None
-    grad_map_sq: float
-    step_norm: float
-
-
-@dataclass(frozen=True)
 class NscoRunResult:
     """Outcome of one inner solver run.
 
     ``x_R`` is the iterate at the sampled stopping index ``R`` and ``G_R``
     the batch gradient estimate computed at ``x_R`` itself, so callers can
-    reuse it without extra oracle calls.  ``kappa_g_violations`` counts
-    visited iterates whose exact gradient norm exceeds the declared bound;
-    tracked only on recorded zeroth-order runs with an exact objective,
-    None otherwise.
+    reuse it without extra oracle calls.  ``oracle_calls`` is the run's
+    exact consumption.
     """
 
     x_R: np.ndarray
     G_R: np.ndarray
     R: int
     oracle_calls: int
-    trajectory: list[TrajectoryPoint] | None = None
-    kappa_g_violations: int | None = None
 
 
 def stopping_pmf(gammas: np.ndarray, L: float) -> np.ndarray:
@@ -201,12 +188,9 @@ def _solve_inner(
     x_init: np.ndarray,
     budget: SolverBudget,
     stream: RandomStream,
-    tol: float,
-    record: bool,
     stop_index: int | None,
     estimate: Callable[[np.ndarray, np.random.Generator], np.ndarray],
     calls_per_batch: int,
-    kappa_g: float | None = None,
 ) -> NscoRunResult:
     """Inner loop shared by the first- and zeroth-order solvers.
 
@@ -216,8 +200,6 @@ def _solve_inner(
     draw on ``1..N`` from ``stream.child(0)``.  Every batch of the run comes,
     in order, from one generator on ``stream.child(1)``; a run with
     ``stop_index=R`` therefore repeats the random-``R`` run bit for bit.
-    ``kappa_g`` turns on counting of visited iterates whose exact gradient
-    norm exceeds it, on recorded runs with an exact objective.
     """
     if rho < 0.0:
         raise ConfigError(f"penalty parameter must be >= 0, got {rho}")
@@ -231,40 +213,20 @@ def _solve_inner(
     rng = stream.child(1).generator()
     gamma = budget.gamma
     x = np.asarray(x_init, dtype=float).copy()
-    exact = record and problem.true_objective is not None
-    traj: list[TrajectoryPoint] | None = [] if record else None
-    violations: int | None = 0 if exact and kappa_g is not None else None
     # iteration k estimates G_k at x_k; the last one is G_R at the returned x_R
     for k in range(1, r_stop + 1):
         grad_est = estimate(x, rng)
         if not np.isfinite(grad_est).all():
             raise DomainError(f"batch gradient estimate is non-finite at inner iteration {k}")
-        if violations is not None and np.linalg.norm(problem.true_value_grad(x)[1]) > kappa_g:
-            violations += 1
         if k == r_stop:
             break
         c, jac = eval_constraints(problem, x)
-        pr = prox_step(x, grad_est, c, jac, rho, gamma, tol)
-        if traj is not None:
-            phi_h = None
-            if exact:
-                phi_h = problem.true_value_grad(x)[0] + rho * float(np.linalg.norm(c))
-            traj.append(
-                TrajectoryPoint(
-                    k=k,
-                    phi_h=phi_h,
-                    grad_map_sq=float(pr.p_gamma @ pr.p_gamma),
-                    step_norm=float(np.linalg.norm(pr.d)),
-                )
-            )
-        x = pr.x_plus
+        x = prox_step(x, grad_est, c, jac, rho, gamma).x_plus
     return NscoRunResult(
         x_R=x,
         G_R=grad_est,
         R=r_stop,
         oracle_calls=calls_per_batch * r_stop,
-        trajectory=traj,
-        kappa_g_violations=violations,
     )
 
 
@@ -274,8 +236,6 @@ def solve_nsco_sfo(
     x_init: np.ndarray,
     budget: SolverBudget,
     stream: RandomStream,
-    tol: float = DEFAULT_PROX_TOL,
-    record: bool = False,
     stop_index: int | None = None,
 ) -> NscoRunResult:
     """Run the stochastic first-order composite solver under a budget.
@@ -289,6 +249,6 @@ def solve_nsco_sfo(
     """
     src, m = problem.oracle, budget.m
     return _solve_inner(
-        problem, rho, x_init, budget, stream, tol, record, stop_index,
+        problem, rho, x_init, budget, stream, stop_index,
         lambda x, rng: _batch_mean(src, x, m, rng), m,
     )

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import ConfigError
 from .problems import ConstrainedProblem, RandomStream
 from .sfo import NscoRunResult, SolverBudget, _solve_inner
-from .subsolvers import DEFAULT_PROX_TOL
 
 __all__ = [
     "SmoothedValue",
@@ -143,24 +142,21 @@ def solve_nsco_szo(
     x_init: np.ndarray,
     budget: SolverBudget,
     stream: RandomStream,
-    tol: float = DEFAULT_PROX_TOL,
-    record: bool = False,
     stop_index: int | None = None,
 ) -> NscoRunResult:
     """Run the stochastic zeroth-order composite solver under a budget.
 
     The first-order solver's loop with the batch gradient replaced by the
     two-point smoothed estimator; one draw costs 2 value calls, so
-    consumption is exactly ``2 * m * R``.  Recorded runs with an exact
-    objective count visited iterates whose gradient norm exceeds the
-    declared ``kappa_g``, which the variance analysis assumes and value
-    samples cannot verify.
+    consumption is exactly ``2 * m * R``.  ``stop_index`` overrides the
+    random draw for diagnostic runs.  Raises ``ConfigError`` when the
+    budget has no smoothing radius and ``DomainError`` when a batch
+    estimate is non-finite.
     """
     if budget.mu is None:
         raise ConfigError("zeroth-order runs need a budget with a smoothing radius")
     src, m, mu = problem.oracle, budget.m, budget.mu
     return _solve_inner(
-        problem, rho, x_init, budget, stream, tol, record, stop_index,
+        problem, rho, x_init, budget, stream, stop_index,
         lambda x, rng: _two_point_mean(src, x, mu, m, rng), 2 * m,
-        kappa_g=problem.constants.kappa_g,
     )

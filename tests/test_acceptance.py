@@ -149,26 +149,36 @@ def test_criterion_03_prox_descent_inequality():
 
 
 def test_criterion_04_noiseless_monotone_descent():
+    # sigma = 0, m = 1: the solver runs the exact prox-gradient recursion,
+    # which is replayed here to read f + ||c|| along it
     problem = build_problem(TestProblemSpec("P1", sigma=0.0))
     budget = SolverBudget(n_bar=201, m=1, gamma=1.0 / 1.1, L=1.1)
     rng = np.random.default_rng(104)
     violations = 0
     comparisons = 0
     for run in range(50):
-        x0 = rng.uniform(-3.0, 3.0, size=problem.n)
-        res = solve_nsco_sfo(problem, 1.0, x0, budget, RandomStream(104).child(run),
-                             stop_index=201, record=True)
-        values = [t.phi_h for t in res.trajectory]
-        f_final, _ = problem.true_value_grad(res.x_R)
-        c_final, _ = eval_constraints(problem, res.x_R)
+        x = rng.uniform(-3.0, 3.0, size=problem.n)
+        res = solve_nsco_sfo(problem, 1.0, x, budget, RandomStream(104).child(run),
+                             stop_index=201)
+        values = []
+        for _ in range(200):
+            f, g = problem.true_value_grad(x)
+            c, jac = eval_constraints(problem, x)
+            values.append(f + float(np.linalg.norm(c)))
+            x = prox_step(x, g, c, jac, 1.0, budget.gamma).x_plus
+        f_final, _ = problem.true_value_grad(x)
+        c_final, _ = eval_constraints(problem, x)
         values.append(f_final + float(np.linalg.norm(c_final)))
+        if not np.array_equal(x, res.x_R):
+            violations += 1
         for a, b in zip(values, values[1:]):
             comparisons += 1
             if b > a + 1e-12:
                 violations += 1
     ok = violations == 0 and comparisons == 50 * 200
-    _report(4, ok, f"sigma=0, m=1: {violations} objective increases over "
-                   f"{comparisons} consecutive steps (50 runs x 200 iterations)")
+    _report(4, ok, f"sigma=0, m=1: {violations} objective increases or endpoints "
+                   f"differing from the solver's over {comparisons} consecutive steps "
+                   f"(50 runs x 200 iterations)")
 
 
 def test_criterion_05_stationarity_bound_holds():

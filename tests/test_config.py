@@ -2,7 +2,7 @@
 
 import pytest
 
-from spen import ConfigError, RunConfig, parse_config, serialize_config
+from spen import ConfigError, RunConfig, parse_config
 
 MINIMAL = """
 [problem]
@@ -70,13 +70,6 @@ def test_parse_full():
     assert cfg.seed == 7
     assert cfg.output == "out.csv"
     assert cfg.epsilons == (0.45, 0.3, 0.15)
-
-
-def test_serialize_roundtrip():
-    for text in (MINIMAL, FULL):
-        cfg = parse_config(text)
-        again = parse_config(serialize_config(cfg))
-        assert again == cfg
 
 
 def test_missing_required_fields():

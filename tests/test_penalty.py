@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spen import (
+    DEFAULT_MEASURE_TOL,
     ConfigError,
     ConstrainedProblem,
     GaussianOracle,
@@ -208,7 +209,7 @@ def test_run_penalty_record_invariants():
         assert rec.replication == 3
         assert rec.outer_iter == i + 1
         assert rec.rho >= prev_rho + config.tau - 1e-12
-        assert rec.phi >= rec.rho * config.xi * rec.theta - 10.0 * config.measure_tol
+        assert rec.phi >= rec.rho * config.xi * rec.theta - 10.0 * DEFAULT_MEASURE_TOL
         assert rec.oracle_calls > prev_calls
         assert rec.crit_sq is not None and rec.crit_sq >= 0.0
         prev_rho, prev_calls = rec.rho, rec.oracle_calls

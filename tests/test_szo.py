@@ -242,29 +242,3 @@ def test_szo_solver_progress_on_quadratic():
     f0 = 0.5 * float(np.array([3.0, -2.0]) @ np.array([3.0, -2.0]))
     fR = 0.5 * float(res.x_R @ res.x_R)
     assert fR < 0.05 * f0
-
-
-def test_szo_solver_counts_gradient_bound_violations():
-    base = _quad_problem([1.0, 2.0])
-    budget = SolverBudget(n_bar=40, m=2, gamma=0.3, L=2.0, mu=1e-4)
-    x0 = np.array([2.0, -1.5])
-
-    def with_kappa(kap):
-        return ConstrainedProblem(
-            n=base.n,
-            q=base.q,
-            constraints=base.constraints,
-            oracle=base.oracle,
-            constants=ProblemConstants(L_g=2.0, kappa_g=kap),
-            true_objective=base.true_objective,
-        )
-
-    tight = solve_nsco_szo(with_kappa(1e-6), 1.0, x0, budget, RandomStream(77),
-                           record=True, stop_index=8)
-    assert tight.kappa_g_violations == 8
-    loose = solve_nsco_szo(with_kappa(1e6), 1.0, x0, budget, RandomStream(77),
-                           record=True, stop_index=8)
-    assert loose.kappa_g_violations == 0
-    untracked = solve_nsco_szo(with_kappa(1e-6), 1.0, x0, budget, RandomStream(77),
-                               stop_index=8)
-    assert untracked.kappa_g_violations is None
