@@ -3,17 +3,16 @@
 Three deterministic building blocks live here:
 
 * :func:`prox_step` solves the proximal linearization
-  ``min_u <g, u-x> + rho*||c + J(u-x)|| + ||u-x||^2/(2*gamma)``
-  through its dual, a concave quadratic over the radius-``rho`` ball, with
-  the closed-form gap ``rho*||t|| - <lam, t>``, ``t = c + J(u-x)``.
+  ``min_u <g, u-x> + rho*||c + J(u-x)|| + ||u-x||^2/(2*gamma)``.
 * :func:`theta` evaluates the infeasibility stationarity measure
   ``||c|| - min_{||s||<=1} ||c + J s||``.
 * :func:`phi` evaluates the penalty steering measure
   ``rho*||c|| - min_{||s||<=1} ( <g, s> + rho*||c + J s|| )``.
 
-All three are exact up to rounding, through the secular equation of a
-ball-constrained quadratic, and return a duality-gap certificate so
-callers never have to trust iteration counts.
+Each one maximizes a concave diagonal quadratic over a ball, in a basis
+from ``J``, with the one exact routine :func:`_ball_point` (the secular
+equation of a ball-constrained quadratic).  Each returns a primal-dual gap
+as a certificate, so callers never have to trust iteration counts.
 """
 
 from __future__ import annotations
@@ -78,7 +77,9 @@ def _secular_root(w: np.ndarray, beta: np.ndarray, radius: float) -> float:
 
     Standard trust-region secular equation with PSD eigenvalues ``w``;
     the root is bracketed in (0, ||beta||/radius] and polished by a
-    safeguarded Newton iteration on 1/||lam(nu)|| - 1/radius.
+    safeguarded Newton iteration on 1/||lam(nu)|| - 1/radius, which stops
+    on a step below 1e-16 of ``nu``, so tiny roots are found as accurately
+    as large ones.
     """
     norm_b = _norm(beta)
     if norm_b == 0.0:
@@ -97,48 +98,50 @@ def _secular_root(w: np.ndarray, beta: np.ndarray, radius: float) -> float:
         f = 1.0 / lam_norm - 1.0 / radius
         if abs(f) <= 1e-15 / radius:
             break
-        fp = float(np.sum(beta**2 / denom**3)) / (lam_norm_sq * lam_norm)
-        nu_new = nu - f / fp
-        if not (lo < nu_new < hi):
-            nu_new = 0.5 * (lo + hi)
-        if abs(nu_new - nu) <= 1e-16 * max(1.0, nu):
+        nu_new = 0.5 * (lo + hi)
+        if nu > 1e-100:  # below, nu**3 underflows: bisect
+            fp = float(np.sum(beta**2 / denom**3)) / (lam_norm_sq * lam_norm)
+            step = nu - f / fp
+            if lo < step < hi:
+                nu_new = step
+        if abs(nu_new - nu) <= 1e-16 * nu:
             nu = nu_new
             break
         nu = nu_new
     return nu
 
 
-def _dual_ball_quadratic(a_mat: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
-    """Maximize <b, lam> - 0.5*lam' A lam over ||lam|| <= radius, A PSD.
+def _ball_point(w: np.ndarray, beta: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
+    """Maximize ``<beta, y> - sum(w*y**2)/2`` over ``||y|| <= radius``, ``w >= 0``.
 
-    Interior solutions use the least-norm stationary point; boundary
-    solutions come from the secular equation in the eigenbasis of A.
+    Returns ``(y, nu)``, ``nu`` the multiplier of the ball.  If ``beta``
+    vanishes where ``w`` does (to 1e-14 of ``||beta||``) and the least-norm
+    stationary point fits the ball, that point is ``y`` and ``nu = 0``.
+    Otherwise ``y = beta/(w + nu)`` with ``nu`` the root of the secular
+    equation ``||y|| = radius``, which puts ``y`` on the sphere to rounding.
     """
     if radius == 0.0:
-        return np.zeros(b.size)
-    w, q_mat = np.linalg.eigh(a_mat)
-    # eigenvalues ascend, so the smallest decides both the clip and the mask
-    if w[0] < 0.0:
-        w = np.maximum(w, 0.0)
-    beta = q_mat.T @ b
-    w_top = float(w[-1])
-    floor = max(w_top, 1.0) * 1e-14
-    if w[0] > floor:
-        lam_ln = q_mat @ (beta / w)
+        return np.zeros(beta.size), 0.0
+    if np.count_nonzero(w) == w.size:
+        y, stray = beta / w, False
     else:
-        mask = w > floor
-        lam_ln = q_mat @ np.where(mask, beta / np.where(mask, w, 1.0), 0.0)
-    resid = _norm(a_mat @ lam_ln - b)
-    norm_ln = _norm(lam_ln)
-    if resid <= 1e-11 * (_norm(b) + w_top * norm_ln + 1.0) and norm_ln <= radius:
-        return lam_ln
+        zero = w == 0.0
+        y = np.where(zero, 0.0, beta / np.where(zero, 1.0, w))
+        stray = _norm(beta[zero]) > 1e-14 * _norm(beta)
+    norm_y = _norm(y)
+    if norm_y <= radius and not stray:
+        return y, 0.0
     nu = _secular_root(w, beta, radius)
     if nu == 0.0:
-        return lam_ln * (radius / max(norm_ln, 1e-300))
-    lam = q_mat @ (beta / (w + nu))
-    # more than rounding outside the ball: the root stopped short
-    norm_lam = _norm(lam)
-    return lam * (radius / norm_lam) if norm_lam > radius * (1.0 + 1e-14) else lam
+        return y * (radius / max(norm_y, 1e-300)), 0.0
+    return beta / (w + nu), nu
+
+
+def _singular_basis(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Full SVD ``J = U diag(sv) V'`` and the rank ``k``: singular values at
+    or below 1e-14 of the largest are taken as zero."""
+    u, sv, vt = np.linalg.svd(jac)
+    return u, sv, vt, int(np.count_nonzero(sv > sv[0] * 1e-14))
 
 
 def prox_step(
@@ -213,7 +216,13 @@ def prox_step(
         gap = rho * abs(t) - lam0 * t
         lam = np.array([lam0])
     else:
-        lam = _dual_ball_quadratic(gamma * (jac @ jac.T), c - gamma * (jac @ g), rho)
+        # in the eigenbasis of gamma*J J' the dual is a ball quadratic;
+        # eigenvalues (ascending) at the floor are rounding and count as zero
+        w, q_mat = np.linalg.eigh(gamma * (jac @ jac.T))
+        floor = max(float(w[-1]), 1.0) * 1e-14
+        if w[0] <= floor:
+            w = np.where(w > floor, w, 0.0)
+        lam = q_mat @ _ball_point(w, q_mat.T @ (c - gamma * (jac @ g)), rho)[0]
         p_gamma = g + jac.T @ lam
         d = -gamma * p_gamma
         t = c + jac @ d
@@ -223,7 +232,7 @@ def prox_step(
     return ProxResult(np.asarray(x, dtype=float) + d, d, lam, p_gamma, gap)
 
 
-def _theta_q1(c: np.ndarray, jac: np.ndarray, tol: float) -> BallSubproblemResult:
+def _theta_q1(c: np.ndarray, jac: np.ndarray) -> BallSubproblemResult:
     # single constraint: the inner product ranges over [-||j||, ||j||]
     j = jac[0]
     nj = float(np.linalg.norm(j))
@@ -246,44 +255,32 @@ def _require_finite(measure: str, **arrays: np.ndarray) -> None:
 def theta(c: np.ndarray, jac: np.ndarray, tol: float = DEFAULT_MEASURE_TOL) -> BallSubproblemResult:
     """Infeasibility stationarity measure ``||c|| - min_{||s||<=1} ||c + J s||``.
 
-    The inner problem, minimizing the squared residual ``||c + J s||^2``
-    over the unit ball, is a ball-constrained PSD quadratic.  It is solved
-    exactly in the singular basis of ``J``: the least-norm minimizer when
-    it lies in the ball, else the boundary point from the secular
-    equation.  Working with the singular values of ``J`` rather than the
-    eigenvalues of ``J'J`` keeps directions with singular values down to
-    ``1e-14`` of the largest.  The reported ``gap``, a Frank-Wolfe bound
-    mapped to the norm scale, bounds the error of ``value`` (the attained
-    residual norm), and the measure is clamped to be nonnegative.  Raises
+    With ``J = U diag(sv) V'`` and ``t = V's``, minimizing ``||c + J s||^2/2``
+    over the unit ball is the ball quadratic with weights ``sv^2`` and
+    linear term ``-sv*U'c``, solved exactly by :func:`_ball_point`; singular
+    values down to 1e-14 of the largest are kept.  ``value`` is the attained
+    residual norm ``||r||``, ``r = c + J s``, and ``gap`` is ``phi``'s
+    primal-dual gap at ``g = 0``, ``rho = 1``: ``||r|| - D(lam)`` with
+    ``D(lam) = <lam, c> - ||J' lam||`` at the better of ``lam = 0`` and
+    ``lam = r/||r||``.  The measure is clamped to be nonnegative.  Raises
     ``SubsolverError`` on a non-finite input or a gap above ``tol``.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     jac = np.atleast_2d(np.asarray(jac, dtype=float))
     _require_finite("theta", c=c, jac=jac)
     if jac.shape[0] == 1:
-        return _theta_q1(c, jac, tol)
+        return _theta_q1(c, jac)
 
-    # with J = U diag(sv) V', minimize ||c + U diag(sv) t||^2 over
-    # ||t|| <= 1 and set s = V t; sv below 1e-14 of the largest is noise
-    u, sv, vt = np.linalg.svd(jac, full_matrices=False)
-    gam = u.T @ c
-    keep = sv > sv[0] * 1e-14
-    t = np.where(keep, -gam / np.where(keep, sv, 1.0), 0.0)
-    if float(np.linalg.norm(t)) > 1.0:
-        beta = np.where(keep, -sv * gam, 0.0)
-        t = beta / (sv**2 + _secular_root(sv**2, beta, 1.0))
-    s = vt.T @ t
+    u, sv, vt, k = _singular_basis(jac)
+    sig = sv[:k]
+    s = vt[:k].T @ _ball_point(sig**2, -sig * (u[:, :k].T @ c), 1.0)[0]
     r = c + jac @ s
-    qv = float(r @ r)
-    grad = 2.0 * (jac.T @ r)
-    # Frank-Wolfe gap on the squared objective, mapped to the norm scale
-    fw = max(float(grad @ s) + float(np.linalg.norm(grad)), 0.0)
-    value = math.sqrt(qv)
-    gap = value - math.sqrt(max(qv - fw, 0.0))
+    value = _norm(r)
+    # lam = 0 gives D = 0; when r is at rounding level, r/||r|| is noise
+    dual = (float(r @ c) - _norm(jac.T @ r)) / value if value > 0.0 else 0.0
+    gap = max(value - max(dual, 0.0), 0.0)
     if not (gap <= tol):
-        raise SubsolverError(
-            f"theta subsolver value gap {gap:.3e} exceeds tolerance {tol:.3e}", gap=gap
-        )
+        raise SubsolverError(f"theta duality gap {gap:.3e} exceeds tolerance {tol:.3e}", gap=gap)
     return BallSubproblemResult(s, value, gap, max(float(np.linalg.norm(c)) - value, 0.0))
 
 
@@ -301,14 +298,16 @@ def phi(
     (``mu > 0``) this is the prox problem at ``gamma = 1/mu``, whose dual
     ``lam(mu)`` has ball multiplier ``nu``: ``s(mu)`` solves
     ``g + J' lam + mu*s = 0`` and ``c + J s = (nu/mu)*lam``, which the
-    singular basis of ``J`` turns into sums without cancellation, and
-    ``nu/mu`` is a root of the secular equation.  ``||s(mu)||`` does not
-    increase with ``mu``; a regula falsi (Illinois, bisecting when the
-    bracket fails to halve) finds ``||s(mu)|| = 1`` in
-    ``(0, ||g|| + rho*||J||_F]``.  At ``mu = 0`` the least-norm minimizer
-    of ``||g + J' lam||``, moved within null(J') towards ``c`` out to the
-    sphere, gives ``s`` in closed form: the optimum if ``g`` lies in the
-    row space of ``J`` and ``s`` fits the ball, else the search's seed.
+    singular basis of ``J`` turns into sums without cancellation.  In that
+    basis the dual is a ball quadratic with weights ``sv^2/mu`` (zero on
+    null(J')), and :func:`_ball_point` returns ``nu/mu`` as its ball
+    multiplier.  ``||s(mu)||`` does not increase with ``mu``; a regula
+    falsi (Illinois, bisecting when the bracket fails to halve) finds
+    ``||s(mu)|| = 1`` in ``(0, ||g|| + rho*||J||_F]``.  At ``mu = 0`` the
+    least-norm minimizer of ``||g + J' lam||``, moved within null(J')
+    towards ``c`` out to the sphere, gives ``s`` in closed form: the optimum
+    if ``g`` lies in the row space of ``J`` and ``s`` fits the ball, else
+    the search's seed.
 
     ``gap`` is ``P(s) - D(lam)``, ``D(lam) = <lam, c> - ||g + J' lam||``, for
     the best points seen (``s`` scaled into the ball); a negative ``rho``, a
@@ -322,9 +321,7 @@ def phi(
     _require_finite("phi", g=g, c=c, jac=jac)
     if rho == 0.0:  # the constraint term vanishes
         c, jac = np.zeros(1), np.zeros((1, g.size))
-    # J = U diag(sv) V'; as in theta, sv below 1e-14 of the largest is zero
-    u, sv, vt = np.linalg.svd(jac)
-    k = int(np.count_nonzero(sv > sv[0] * 1e-14))
+    u, sv, vt, k = _singular_basis(jac)
     sig, w = sv[:k], sv[:k] ** 2
     gt, ct = vt @ g, u.T @ c
     g_r, g_n, c_r, c_n = gt[:k], gt[k:], ct[:k], ct[k:]
@@ -362,12 +359,9 @@ def phi(
     lo, f_lo, f_hi, side, width = 0.0, -1.0, 0.0, 0, math.inf
     mu = hi = (_norm(g) + rho * _norm(jac.ravel())) or 1.0
     for _ in range(0 if done else 200):
-        # nu/mu is 0 while the least-norm dual fits the ball
+        # nu/mu is the ball multiplier of the prox dual at gamma = 1/mu
         beta = np.concatenate((c_r - sig * g_r / mu, c_n))
-        if not c_n.any() and _norm(beta[:k] * (mu / w)) <= rho:
-            norm_s = offer(mu, 0.0)
-        else:
-            norm_s = offer(mu, _secular_root(np.append(w / mu, 0.0 * c_n), beta, rho))
+        norm_s = offer(mu, _ball_point(np.append(w / mu, 0.0 * c_n), beta, rho)[1])
         f = 1.0 / norm_s - 1.0 if norm_s > 0.0 else 0.0  # s = 0 is optimal
         if f > 0.0:
             hi, f_hi = mu, f

@@ -58,6 +58,9 @@ def _two_point_mean(src, x: np.ndarray, mu: float, m: int, rng: np.random.Genera
     v = rng.standard_normal((m, x.size))
     # one shared base row: f(x) is computed once, the ledger still counts 2m
     f_shift, f_base = src.value_pair_batch(x + mu * v, x[None], rng)
+    if not (np.isfinite(f_shift).all() and np.isfinite(f_base).all()):
+        # a NaN estimate: the loop raises naming the iteration, with no inf - inf
+        return np.full(x.size, np.nan)
     return (((f_shift - f_base) / mu)[:, None] * v).mean(axis=0)
 
 

@@ -14,12 +14,14 @@ import numpy as np
 
 GRID_SPACING = {1: 1.0e-3, 2: 1.5e-3, 3: 1.6e-2}
 COVER_BUDGET = 4.0e-5
+CHUNK_POINTS = 32768
 
 _GRID_CACHE: dict[int, np.ndarray] = {}
 
 
 def unit_ball_grid(n: int) -> np.ndarray:
-    """All points of the uniform grid on [-1, 1]^n with norm <= 1, shape (M, n)."""
+    """All points of the uniform grid on [-1, 1]^n with norm <= 1, one per
+    column: shape (n, M)."""
     if n not in GRID_SPACING:
         raise ValueError(f"no grid spacing declared for dimension {n}")
     if n not in _GRID_CACHE:
@@ -28,7 +30,7 @@ def unit_ball_grid(n: int) -> np.ndarray:
         mesh = np.meshgrid(*([axis] * n), indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         keep = (pts * pts).sum(axis=1) <= 1.0 + 1e-12
-        _GRID_CACHE[n] = np.ascontiguousarray(pts[keep])
+        _GRID_CACHE[n] = np.ascontiguousarray(pts[keep].T)
     return _GRID_CACHE[n]
 
 
@@ -55,37 +57,37 @@ def draw_instance(rng: np.random.Generator, n: int, q: int):
     return alpha * g, alpha * c, alpha * jac, rho, gamma
 
 
-def theta_reference(c: np.ndarray, jac: np.ndarray) -> float:
-    """theta by exhaustive search: ||c|| - min over the grid of ||c + J s||."""
-    pts = unit_ball_grid(jac.shape[1])
-    vals = np.linalg.norm(c[None, :] + pts @ jac.T, axis=1)
-    return float(np.linalg.norm(c)) - float(vals.min())
-
-
-def phi_reference(g: np.ndarray, c: np.ndarray, jac: np.ndarray, rho: float) -> float:
-    """phi by exhaustive search over the same grid."""
-    pts = unit_ball_grid(jac.shape[1])
-    vals = pts @ g + rho * np.linalg.norm(c[None, :] + pts @ jac.T, axis=1)
-    return rho * float(np.linalg.norm(c)) - float(vals.min())
-
-
 def prox_objective(d, g, c, jac, rho, gamma):
     return float(g @ d) + rho * float(np.linalg.norm(c + jac @ d)) + float(d @ d) / (2.0 * gamma)
 
 
-def prox_reference(g, c, jac, rho, gamma) -> float:
-    """Minimum prox-model value by exhaustive search.
+def grid_references(g, c, jac, rho, gamma) -> tuple[float, float, float]:
+    """``(prox, theta, phi)`` by exhaustive search, from one sweep of the grid.
 
-    The minimizer satisfies ||d|| <= gamma*(||g|| + rho*||J||), so the
-    unit-ball grid is stretched by that radius before the sweep.
+    theta is ``||c||`` minus the grid minimum of ``||c + J s||``, phi is
+    ``rho*||c||`` minus that of ``<g, s> + rho*||c + J s||``, and prox is the
+    minimum prox-model value.  The prox minimizer satisfies
+    ``||d|| <= gamma*(||g|| + rho*||J||)``, so its grid is the unit-ball grid
+    stretched by that radius.  One product of ``[g'; J]`` with the grid,
+    taken ``CHUNK_POINTS`` points at a time, serves all three.
     """
+    pts = unit_ball_grid(jac.shape[1])
     radius = gamma * (float(np.linalg.norm(g)) + rho * float(np.linalg.norm(jac, 2)))
-    if radius == 0.0:
-        return prox_objective(np.zeros(jac.shape[1]), g, c, jac, rho, gamma)
-    pts = radius * unit_ball_grid(jac.shape[1])
-    vals = (
-        pts @ g
-        + rho * np.linalg.norm(c[None, :] + pts @ jac.T, axis=1)
-        + (pts * pts).sum(axis=1) / (2.0 * gamma)
-    )
-    return float(vals.min())
+    mat = np.vstack((g, jac))
+    col = c[:, None]
+    prox = theta = phi = math.inf
+    for start in range(0, pts.shape[1], CHUNK_POINTS):
+        chunk = pts[:, start:start + CHUNK_POINTS]
+        prod = mat @ chunk
+        lin, img = prod[0], prod[1:]
+        res = np.sqrt(((col + img) ** 2).sum(axis=0))
+        theta = min(theta, float(res.min()))
+        phi = min(phi, float((lin + rho * res).min()))
+        model = (
+            radius * lin
+            + rho * np.sqrt(((col + radius * img) ** 2).sum(axis=0))
+            + radius * radius * (chunk * chunk).sum(axis=0) / (2.0 * gamma)
+        )
+        prox = min(prox, float(model.min()))
+    norm_c = float(np.linalg.norm(c))
+    return prox, norm_c - theta, rho * norm_c - phi

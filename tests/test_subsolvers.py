@@ -2,17 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from grid_reference import (
-    draw_instance,
-    phi_reference,
-    prox_objective,
-    prox_reference,
-    theta_reference,
-)
+from grid_reference import draw_instance, grid_references, prox_objective
 from phi_reference import phi as phi_iterative
 from prox_reference import dual_ball_quadratic, prox_from_dual
 from spen import (
@@ -22,7 +16,7 @@ from spen import (
     prox_step,
     theta,
 )
-from spen.subsolvers import _dual_ball_quadratic
+from spen.subsolvers import _ball_point, _secular_root
 
 
 def test_prox_unconstrained_direction():
@@ -85,7 +79,7 @@ def test_prox_matches_grid():
         g, c, jac, rho, gamma = draw_instance(rng, n, q)
         pr = prox_step(np.zeros(n), g, c, jac, rho, gamma)
         attained = prox_objective(pr.d, g, c, jac, rho, gamma)
-        assert abs(attained - prox_reference(g, c, jac, rho, gamma)) < 1e-4
+        assert abs(attained - grid_references(g, c, jac, rho, gamma)[0]) < 1e-4
 
 
 def test_prox_nonexpansive_in_gradient():
@@ -167,15 +161,19 @@ def test_prox_q2_matches_reference_bit_for_bit():
         pr = prox_step(x, g, c, jac, rho, gamma, tol=np.inf)
         lam = dual_ball_quadratic(gamma * (jac @ jac.T), c - gamma * (jac @ g), rho)
         norm_lam = float(np.linalg.norm(lam))
-        # the one intended change: a dual outside the ball by more than
-        # rounding is pulled back onto the sphere
+        # the reference's secular root can stop short of a tiny root; its
+        # dual is then pulled back onto the sphere
         if norm_lam > rho * (1.0 + 1e-14):
             lam = lam * (rho / norm_lam)
         x_plus, d, p_gamma, primal, dual = prox_from_dual(x, g, c, jac, rho, gamma, lam)
-        assert np.array_equal(pr.lam, lam)
-        assert np.array_equal(pr.d, d)
-        assert np.array_equal(pr.p_gamma, p_gamma)
-        assert np.array_equal(pr.x_plus, x_plus)
+        got, want = (pr.lam, pr.d, pr.p_gamma, pr.x_plus), (lam, d, p_gamma, x_plus)
+        if np.linalg.matrix_rank(jac) == jac.shape[0]:
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        else:
+            # the library counts eigenvalues at the floor as zero in the
+            # secular equation, the reference keeps them
+            for a, b in zip(got, want):
+                assert np.linalg.norm(a - b) <= 1e-12 * max(1.0, float(np.linalg.norm(b)))
         assert abs(pr.gap - (primal - dual)) <= 1e-12 * max(1.0, abs(primal))
         if norm_lam < rho * (1.0 - 1e-9):
             interior += 1
@@ -210,12 +208,50 @@ def test_prox_q2_certificate_properties(instance):
 
 
 def test_dual_ball_quadratic_stays_in_ball():
-    # the least-norm point overshoots the radius by one ulp and the secular
-    # iteration stops short of a ~1e-21 root: the dual came out at norm 1.0021
+    # the least-norm dual overshoots the radius by one ulp and the secular
+    # root is ~1e-21, below any step floor that is absolute in nu
     jac = np.array([[5e-4, 1e-3], [5e-4, 1e-3]])
     c = np.array([0.001118033988749895] * 2)
-    lam = _dual_ball_quadratic(jac.T @ jac, -jac.T @ c, 1.0)
-    assert np.linalg.norm(lam) <= 1.0
+    pr = prox_step(np.zeros(2), c, np.zeros(2), jac.T, 1.0, 1.0)
+    assert np.linalg.norm(pr.lam) <= 1.0
+
+
+_TINY_TO_LARGE = st.floats(-20.0, 2.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _secular_instances(draw):
+    # weights with exact zeros, beta entries from 1e-20 to 1e2, and a root:
+    # beta is nonzero where w is zero, or the least-norm point leaves the ball
+    n = draw(st.integers(1, 5))
+    w = draw(arrays(np.float64, n, elements=st.one_of(st.just(0.0), _TINY_TO_LARGE)))
+    sign = draw(arrays(np.float64, n, elements=st.sampled_from([-1.0, 1.0])))
+    beta = sign * draw(arrays(np.float64, n, elements=_TINY_TO_LARGE))
+    radius = draw(st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+    zero = w == 0.0
+    assume(zero.any() or np.linalg.norm(beta / np.where(zero, 1.0, w)) > radius)
+    return w, beta, radius
+
+
+_HARD_ROOTS = [
+    (np.array([1.0, 0.0]), np.array([0.5, 1e-20]), 1.0),
+    (np.array([0.0, 1.0]), np.array([1e-12, 0.999]), 1.0),
+    # a root where nu**3 underflows
+    (np.array([0.0, 2.0]), np.array([1e-120, 0.0]), 1.0),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from(_HARD_ROOTS), _secular_instances()))
+def test_secular_root_is_accurate_for_tiny_roots(instance):
+    # the first root is 1.15e-20: a step floor absolute in nu stops at
+    # 5.6e-17 and leaves the point at norm 0.50000003
+    w, beta, radius = instance
+    nu = _secular_root(w, beta, radius)
+    assert abs(np.linalg.norm(beta / (w + nu)) - radius) <= 1e-14 * radius
+    y, _ = _ball_point(w, beta, radius)
+    assert np.linalg.norm(y) <= radius * (1.0 + 1e-14)
 
 
 def test_theta_closed_forms():
@@ -315,8 +351,8 @@ def test_theta_matches_grid():
     rng = np.random.default_rng(5)
     for _ in range(40):
         n, q = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        _, c, jac, _, _ = draw_instance(rng, n, q)
-        assert abs(theta(c, jac).measure - theta_reference(c, jac)) < 1e-4
+        g, c, jac, rho, gamma = draw_instance(rng, n, q)
+        assert abs(theta(c, jac).measure - grid_references(g, c, jac, rho, gamma)[1]) < 1e-4
 
 
 def test_phi_closed_forms():
@@ -355,8 +391,8 @@ def test_phi_matches_grid():
     rng = np.random.default_rng(8)
     for _ in range(40):
         n, q = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        g, c, jac, rho, _ = draw_instance(rng, n, q)
-        assert abs(phi(g, c, jac, rho).measure - phi_reference(g, c, jac, rho)) < 1e-4
+        g, c, jac, rho, gamma = draw_instance(rng, n, q)
+        assert abs(phi(g, c, jac, rho).measure - grid_references(g, c, jac, rho, gamma)[2]) < 1e-4
 
 
 def test_phi_near_parallel_gradient_regression():
