@@ -76,7 +76,6 @@ from .subsolvers import (
     theta,
 )
 from .szo import (
-    SmoothedValue,
     sigma_tilde_sq,
     smoothed_reference,
     solve_nsco_szo,

@@ -11,24 +11,6 @@ from .penalty import PenaltyConfig
 
 __all__ = ["RunConfig", "parse_config"]
 
-_PROBLEM_KEYS = ("family", "n", "sigma")
-_PENALTY_KEYS = (
-    "epsilon",
-    "xi",
-    "tau",
-    "rho0",
-    "max_outer",
-    "oracle_mode",
-    "d_tilde",
-    "d1_tilde",
-    "d2_tilde",
-    "early_stop",
-)
-_RUN_KEYS = ("replications", "seed", "output", "epsilons")
-_SECTIONS = {"problem": _PROBLEM_KEYS, "penalty": _PENALTY_KEYS, "run": _RUN_KEYS}
-
-DEFAULT_EPSILONS = (0.4, 0.2, 0.1)
-
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -43,34 +25,90 @@ class RunConfig:
     replications: int = 100
     seed: int = 0
     output: str | None = None
-    epsilons: tuple[float, ...] = DEFAULT_EPSILONS
+    epsilons: tuple[float, ...] = (0.4, 0.2, 0.1)
+
+    def __post_init__(self):
+        if self.replications < 1:
+            raise ConfigError(f"replications must be >= 1, got {self.replications}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not self.epsilons or any(not 0.0 < e < 1.0 for e in self.epsilons):
+            raise ConfigError(
+                f"epsilons must be one or more values in (0,1), got {self.epsilons}"
+            )
 
 
-def _convert(section: str, key: str, raw: str, kind):
+def _bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in raw.split(",") if part.strip())
+
+
+def _path(raw: str) -> str | None:
+    return raw or None
+
+
+# every key a file may set, with the function that converts its text; a key
+# the file omits takes the default of the dataclass field of the same name
+_SECTIONS = {
+    "problem": {"family": str, "n": int, "sigma": float},
+    "penalty": {
+        "epsilon": float,
+        "xi": float,
+        "tau": float,
+        "rho0": float,
+        "max_outer": int,
+        "oracle_mode": str,
+        "d_tilde": float,
+        "d1_tilde": float,
+        "d2_tilde": float,
+        "early_stop": _bool,
+    },
+    "run": {"replications": int, "seed": int, "output": _path, "epsilons": _floats},
+}
+
+
+def _section(cp: configparser.ConfigParser, section: str, cls, **fixed):
+    """Build ``cls`` from the keys ``section`` sets, prefixing its errors."""
+    kinds = _SECTIONS[section]
+    values = {}
+    given = cp[section] if cp.has_section(section) else {}
+    for key, raw in given.items():
+        if key not in kinds:
+            raise ConfigError(
+                f"unknown key {key!r} in section [{section}]; allowed: {', '.join(kinds)}"
+            )
+        try:
+            values[key] = kinds[key](raw)
+        except ValueError as err:
+            kind = kinds[key].__name__.lstrip("_")
+            raise ConfigError(f"[{section}] {key}: cannot interpret {raw!r} as {kind}") from err
+    for field in dataclasses.fields(cls):
+        required = field.default is dataclasses.MISSING
+        if required and field.name in kinds and field.name not in values:
+            raise ConfigError(f"missing required field: [{section}] {field.name}")
     try:
-        if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return kind(raw)
-    except ValueError as err:
-        raise ConfigError(
-            f"[{section}] {key}: cannot interpret {raw!r} as {kind.__name__}"
-        ) from err
+        return cls(**values, **fixed)
+    except ConfigError as err:
+        raise ConfigError(f"[{section}] {err}") from err
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document.
 
     Sections are ``[problem]``, ``[penalty]``, and ``[run]``; unknown
-    sections or keys are rejected with their location.  ``problem.family``
-    and ``penalty.epsilon`` are required; every other field has a
-    documented default.
+    sections or keys are rejected with their location.  ``;`` starts an
+    inline comment.  ``problem.family`` and ``penalty.epsilon`` are
+    required; an omitted key takes the default of its dataclass field.
     """
-    cp = configparser.ConfigParser(strict=True, interpolation=None)
+    cp = configparser.ConfigParser(strict=True, interpolation=None, inline_comment_prefixes=(";",))
     try:
         cp.read_string(text)
     except configparser.Error as err:
@@ -80,69 +118,6 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"unknown section [{section}]; expected one of {sorted(_SECTIONS)}"
             )
-        for key in cp[section]:
-            if key not in _SECTIONS[section]:
-                raise ConfigError(
-                    f"unknown key {key!r} in section [{section}]; "
-                    f"allowed: {', '.join(_SECTIONS[section])}"
-                )
-
-    def get(section: str, key: str, kind, default):
-        if cp.has_option(section, key):
-            return _convert(section, key, cp.get(section, key), kind)
-        return default
-
-    if not cp.has_option("problem", "family"):
-        raise ConfigError("missing required field: [problem] family")
-    if not cp.has_option("penalty", "epsilon"):
-        raise ConfigError("missing required field: [penalty] epsilon")
-
-    problem = TestProblemSpec(
-        family=cp.get("problem", "family").strip(),
-        n=get("problem", "n", int, None),
-        sigma=get("problem", "sigma", float, 0.1),
-    )
-    mode = get("penalty", "oracle_mode", str, "sfo").strip()
-    try:
-        penalty = PenaltyConfig(
-            epsilon=_convert("penalty", "epsilon", cp.get("penalty", "epsilon"), float),
-            xi=get("penalty", "xi", float, 0.5),
-            tau=get("penalty", "tau", float, 1.0),
-            rho0=get("penalty", "rho0", float, 1.0),
-            max_outer=get("penalty", "max_outer", int, 8),
-            oracle_mode=mode,
-            d_tilde=get("penalty", "d_tilde", float, 1.0),
-            d1_tilde=get("penalty", "d1_tilde", float, 1.0),
-            d2_tilde=get("penalty", "d2_tilde", float, 1.0),
-            early_stop=get("penalty", "early_stop", bool, True),
-        )
-    except ConfigError as err:
-        raise ConfigError(f"[penalty] {err}") from err
-    replications = get("run", "replications", int, 100)
-    if replications < 1:
-        raise ConfigError(f"[run] replications must be >= 1, got {replications}")
-    seed = get("run", "seed", int, 0)
-    if seed < 0:
-        raise ConfigError(f"[run] seed must be >= 0, got {seed}")
-    output = get("run", "output", str, None)
-    if output is not None:
-        output = output.strip() or None
-    if cp.has_option("run", "epsilons"):
-        raw = cp.get("run", "epsilons")
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        if not parts:
-            raise ConfigError("[run] epsilons: needs at least one value")
-        epsilons = tuple(_convert("run", "epsilons", p, float) for p in parts)
-        if any(e <= 0.0 or e >= 1.0 for e in epsilons):
-            raise ConfigError("[run] epsilons: every value must lie in (0,1)")
-    else:
-        epsilons = DEFAULT_EPSILONS
-    return RunConfig(
-        problem=problem,
-        penalty=penalty,
-        replications=replications,
-        seed=seed,
-        output=output,
-        epsilons=epsilons,
-    )
-
+    problem = _section(cp, "problem", TestProblemSpec)
+    penalty = _section(cp, "penalty", PenaltyConfig)
+    return _section(cp, "run", RunConfig, problem=problem, penalty=penalty)

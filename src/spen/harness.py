@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -46,8 +46,7 @@ class TestProblemSpec:
     """Request for a built-in problem family.
 
     ``n`` may be omitted to take the family default; families with a fixed
-    dimension reject other values.  ``params`` holds family-specific
-    overrides and is rejected when a key is not recognized.
+    dimension reject other values.
     """
 
     # keeps pytest from treating the class name as a test case
@@ -56,7 +55,6 @@ class TestProblemSpec:
     family: str
     n: int | None = None
     sigma: float = 0.1
-    params: Mapping[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -108,17 +106,8 @@ def _check_spec_dimension(spec: TestProblemSpec, fixed: int | None, default: int
     return n
 
 
-def _reject_params(spec: TestProblemSpec, allowed: tuple[str, ...] = ()) -> None:
-    unknown = [k for k in spec.params if k not in allowed]
-    if unknown:
-        raise ConfigError(
-            f"unknown parameters for family {spec.family}: {', '.join(sorted(unknown))}"
-        )
-
-
 def _build_p1(spec: TestProblemSpec) -> ConstrainedProblem:
     n = _check_spec_dimension(spec, None, 10)
-    _reject_params(spec)
 
     def fval(x):
         x = np.asarray(x, dtype=float)
@@ -163,7 +152,6 @@ _P2_TARGET = np.array([1.0, 1.0])
 
 def _build_p2(spec: TestProblemSpec, corrupt_jacobian: bool = False) -> ConstrainedProblem:
     _check_spec_dimension(spec, 2, 2)
-    _reject_params(spec)
     jac_scale = 1.05 if corrupt_jacobian else 1.0
 
     def fval(x):
@@ -273,7 +261,6 @@ def _solve_p3_kkt() -> tuple[np.ndarray, float]:
 
 def _build_p3(spec: TestProblemSpec) -> ConstrainedProblem:
     _check_spec_dimension(spec, 3, 3)
-    _reject_params(spec)
 
     def cons(x):
         return np.array([x @ x - 1.0]), 2.0 * np.asarray(x, dtype=float).reshape(1, 3)
@@ -344,7 +331,6 @@ def _solve_rosen_kkt() -> tuple[np.ndarray, float]:
 
 def _build_rosen(spec: TestProblemSpec) -> ConstrainedProblem:
     _check_spec_dimension(spec, 2, 2)
-    _reject_params(spec)
 
     def fval(x):
         x = np.asarray(x, dtype=float)

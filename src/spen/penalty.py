@@ -324,12 +324,11 @@ def outer_iteration_bound(
     kappa_g: float,
     L_g: float,
     L_J: float,
-    kappa_J: float | None = None,
-    c_bar: float | None = None,
+    kappa_J: float,
 ) -> OuterBound:
     """Closed-form cap on outer iterations and the penalty threshold.
 
-    With ``c_bar`` from :func:`c_bar_constant` (or supplied directly),
+    With ``c_bar`` from :func:`c_bar_constant`,
 
     ``c_tilde = max{ (4*c_bar + sqrt(8*c_bar)*sqrt(L_g+L_J))^2 / xi^2,
     sqrt(4*kappa_g^2 + epsilon)/(1-xi) }``,
@@ -345,10 +344,7 @@ def outer_iteration_bound(
         raise ConfigError("tau and rho0 must be > 0")
     if kappa_g < 0.0 or L_g <= 0.0 or L_J <= 0.0:
         raise ConfigError("kappa_g must be >= 0 and L_g, L_J > 0")
-    if c_bar is None:
-        if kappa_J is None:
-            raise ConfigError("outer bound needs either kappa_J or a precomputed c_bar")
-        c_bar = c_bar_constant(epsilon, kappa_g, kappa_J, L_g, L_J)
+    c_bar = c_bar_constant(epsilon, kappa_g, kappa_J, L_g, L_J)
     branch_steer = (4.0 * c_bar + math.sqrt(8.0 * c_bar) * math.sqrt(L_g + L_J)) ** 2 / xi**2
     branch_grad = math.sqrt(4.0 * kappa_g**2 + epsilon) / (1.0 - xi)
     c_tilde = max(branch_steer, branch_grad)

@@ -11,7 +11,6 @@ smoothing radius ``mu`` from the oracle-call allowance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,23 +18,15 @@ import numpy as np
 from .errors import ConfigError
 from .problems import ConstrainedProblem, RandomStream
 from .sfo import NscoRunResult, SolverBudget, _solve_inner
+from .stats import ExpectationEstimate, mean_estimate
 
 __all__ = [
-    "SmoothedValue",
     "szo_gradient_batch",
     "smoothed_reference",
     "sigma_tilde_sq",
     "szo_budget",
     "solve_nsco_szo",
 ]
-
-
-@dataclass(frozen=True)
-class SmoothedValue:
-    """Monte-Carlo estimate of a Gaussian-smoothed function value."""
-
-    mean: float
-    stderr: float
 
 
 def szo_gradient_batch(
@@ -65,27 +56,21 @@ def _two_point_mean(src, x: np.ndarray, mu: float, m: int, rng: np.random.Genera
 
 
 def smoothed_reference(
-    fn: Callable[[np.ndarray], float],
+    fn: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     mu: float,
     samples: int,
     stream: RandomStream,
-) -> SmoothedValue:
-    """Monte-Carlo estimate of ``E_v[fn(x + mu*v)]`` with its standard error."""
+) -> ExpectationEstimate:
+    """Monte-Carlo estimate of ``E_v[fn(x + mu*v)]`` with its standard error.
+
+    ``fn`` maps a ``(samples, n)`` batch of points to their ``samples`` values.
+    """
     if samples < 2:
         raise ConfigError(f"smoothed reference needs samples >= 2, got {samples}")
     x = np.asarray(x, dtype=float)
-    rng = stream.generator()
-    v = rng.standard_normal((int(samples), x.size))
-    pts = x + mu * v
-    try:
-        vals = np.asarray(fn(pts), dtype=float).reshape(samples)
-    except Exception:
-        vals = np.array([float(fn(p)) for p in pts])
-    return SmoothedValue(
-        mean=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / math.sqrt(samples)),
-    )
+    v = stream.generator().standard_normal((int(samples), x.size))
+    return mean_estimate(fn(x + mu * v))
 
 
 def sigma_tilde_sq(n: int, kappa_g: float, sigma: float, mu: float, L_g: float) -> float:

@@ -146,35 +146,41 @@ def test_criterion_03_prox_descent_inequality():
 
 def test_criterion_04_noiseless_monotone_descent():
     # sigma = 0, m = 1: the solver runs the exact prox-gradient recursion,
-    # which is replayed here to read f + ||c|| along it
+    # which is replayed here to read f + ||c|| along it.  The recursion
+    # reaches a fixed point well before step 200, so the solver's iterate is
+    # also compared after 1 and 9 steps, where a wrong step size still shows.
     problem = build_problem(TestProblemSpec("P1", sigma=0.0))
     budget = SolverBudget(n_bar=201, m=1, gamma=1.0 / 1.1, L=1.1)
+    stops = (2, 10, 201)
     rng = np.random.default_rng(104)
     violations = 0
     comparisons = 0
     for run in range(50):
         x = rng.uniform(-3.0, 3.0, size=problem.n)
-        res = solve_nsco_sfo(problem, 1.0, x, budget, RandomStream(104).child(run),
-                             stop_index=201)
+        solver_x = [solve_nsco_sfo(problem, 1.0, x, budget, RandomStream(104).child(run),
+                                   stop_index=stop).x_R for stop in stops]
+        path = [x]
         values = []
         for _ in range(200):
             f, g = problem.true_value_grad(x)
             c, jac = eval_constraints(problem, x)
             values.append(f + float(np.linalg.norm(c)))
             x = prox_step(x, g, c, jac, 1.0, budget.gamma).x_plus
+            path.append(x)
         f_final, _ = problem.true_value_grad(x)
         c_final, _ = eval_constraints(problem, x)
         values.append(f_final + float(np.linalg.norm(c_final)))
-        if not np.array_equal(x, res.x_R):
-            violations += 1
+        for stop, x_r in zip(stops, solver_x):
+            if not np.array_equal(path[stop - 1], x_r):
+                violations += 1
         for a, b in zip(values, values[1:]):
             comparisons += 1
             if b > a + 1e-12:
                 violations += 1
     ok = violations == 0 and comparisons == 50 * 200
-    _report(4, ok, f"sigma=0, m=1: {violations} objective increases or endpoints "
-                   f"differing from the solver's over {comparisons} consecutive steps "
-                   f"(50 runs x 200 iterations)")
+    _report(4, ok, f"sigma=0, m=1: {violations} objective increases or solver iterates "
+                   f"at R = {stops} differing from the replay over {comparisons} "
+                   f"consecutive steps (50 runs x 200 iterations)")
 
 
 def test_criterion_05_stationarity_bound_holds():

@@ -1,8 +1,13 @@
 """Tests for configuration parsing and serialization."""
 
+import dataclasses
+import pathlib
+import re
+
 import pytest
 
-from spen import ConfigError, RunConfig, parse_config
+from spen import ConfigError, PenaltyConfig, RunConfig, TestProblemSpec, parse_config
+from spen.config import _SECTIONS
 
 MINIMAL = """
 [problem]
@@ -129,3 +134,36 @@ def test_runconfig_is_hashable_value_object():
     b = parse_config(MINIMAL)
     assert a == b and a is not b
     assert isinstance(a, RunConfig)
+
+
+def test_section_keys_are_the_dataclass_fields():
+    # a key without a field, or a field without a key, fails here
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert set(_SECTIONS) == {"problem", "penalty", "run"}
+    assert set(_SECTIONS["problem"]) == names(TestProblemSpec)
+    assert set(_SECTIONS["penalty"]) == names(PenaltyConfig)
+    assert set(_SECTIONS["run"]) == names(RunConfig) - {"problem", "penalty"}
+
+
+def test_runconfig_validates_itself():
+    cfg = parse_config(MINIMAL)
+    with pytest.raises(ConfigError, match="seed"):
+        dataclasses.replace(cfg, seed=-1)
+    with pytest.raises(ConfigError, match="replications"):
+        dataclasses.replace(cfg, replications=0)
+    with pytest.raises(ConfigError, match="epsilons"):
+        dataclasses.replace(cfg, epsilons=())
+
+
+def test_readme_example_parses():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+    cfg = parse_config(block)
+    assert cfg.problem.family == "P2"
+    assert cfg.problem.sigma == 0.1
+    assert cfg.penalty.epsilon == 0.1
+    assert cfg.penalty.max_outer == 8
+    assert cfg.output == "runs/p2.csv"
+    assert cfg.epsilons == (0.4, 0.2, 0.1)

@@ -95,8 +95,6 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         build_problem(TestProblemSpec("P1", n=0))
     with pytest.raises(ConfigError):
-        build_problem(TestProblemSpec("P1", params={"mystery": 1.0}))
-    with pytest.raises(ConfigError):
         build_problem(TestProblemSpec("P1", sigma=-0.5))
 
 
