@@ -94,7 +94,12 @@ class GaussianOracle:
 
     ``value`` and ``grad`` must accept a single point of shape ``(n,)``;
     when ``vectorized`` is true, ``value`` must additionally accept a batch
-    of shape ``(m, n)`` and return shape ``(m,)``.
+    of shape ``(m, n)`` and return shape ``(m,)``.  The zeroth-order
+    estimator passes that batch as a column-major view, so that numpy's
+    loops run over the long axis m; a ``value`` that sums the n entries of
+    each row with numpy may then round differently than on a C-ordered
+    batch once n reaches 8, where numpy's pairwise row sum changes order.
+    A non-vectorized ``value`` receives the rows as strided ``(n,)`` views.
     """
 
     def __init__(
@@ -125,7 +130,10 @@ class GaussianOracle:
             raise OracleKindError("oracle provides no gradient (SFO) samples")
         g = np.asarray(self._grad(x), dtype=float)
         if self.sigma > 0.0:
-            return g + (self.sigma / math.sqrt(g.size)) * rng.standard_normal((m, g.size))
+            noise = rng.standard_normal((m, g.size))
+            noise *= self.sigma / math.sqrt(g.size)
+            noise += g
+            return noise
         return np.tile(g, (m, 1))
 
     def value_pair_batch(

@@ -131,6 +131,16 @@ def _ball_point(w: np.ndarray, beta: np.ndarray, radius: float) -> tuple[np.ndar
     norm_y = _norm(y)
     if norm_y <= radius and not stray:
         return y, 0.0
+    radius, norm_b = float(radius), _norm(beta)
+    if radius < 1e-100 or norm_b > 1e100 * radius:
+        # the secular iteration cubes ||y|| ~ radius and the root, which is
+        # up to ||beta||/radius (a ratio that overflows outright for a
+        # subnormal radius): solve for y/radius instead, the same problem
+        # with beta and the ball scaled to unit norm, whose root
+        # nu*radius/||beta|| is at most 1
+        w_unit, beta_unit = w * (radius / norm_b), beta / norm_b
+        nu = float(_secular_root(w_unit, beta_unit, 1.0))
+        return beta_unit / (w_unit + nu) * radius, nu * (norm_b / radius)
     nu = _secular_root(w, beta, radius)
     if nu == 0.0:
         return y * (radius / max(norm_y, 1e-300)), 0.0

@@ -46,13 +46,27 @@ def szo_gradient_batch(
 
 
 def _two_point_mean(src, x: np.ndarray, mu: float, m: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal((m, x.size))
-    # one shared base row: f(x) is computed once, the ledger still counts 2m
-    f_shift, f_base = src.value_pair_batch(x + mu * v, x[None], rng)
+    # The draws are row-major (m, n) as ever, but the arithmetic runs on an
+    # (n, m) copy: with m innermost, numpy loops over m once per coordinate
+    # instead of over n once per row.  Each step rounds as the row-major
+    # formula's does, so the estimate keeps its bits.
+    v = rng.standard_normal((m, x.size)).T.copy()
+    shifted = v * mu
+    shifted += x[:, None]
+    # one shared base row: f(x) is computed once, the ledger still counts 2m;
+    # value sees the (m, n) batch as a column-major view
+    f_shift, f_base = src.value_pair_batch(shifted.T, x[None], rng)
     if not (np.isfinite(f_shift).all() and np.isfinite(f_base).all()):
         # a NaN estimate: the loop raises naming the iteration, with no inf - inf
         return np.full(x.size, np.nan)
-    return (((f_shift - f_base) / mu)[:, None] * v).mean(axis=0)
+    v *= (f_shift - f_base) / mu
+    # the bits of the row-major mean(axis=0): numpy adds its rows one by one,
+    # so a pairwise sum(axis=1) would move the last bits of the estimate,
+    # except for n = 1, whose contiguous column numpy sums pairwise
+    if x.size == 1:
+        return v.sum(axis=1) / m
+    np.add.accumulate(v, axis=1, out=v)
+    return v[:, -1] / m
 
 
 def smoothed_reference(

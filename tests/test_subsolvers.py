@@ -192,9 +192,17 @@ def _unit_prox_instances(draw):
     unit = st.floats(-1.0, 1.0)
     g = draw(arrays(np.float64, n, elements=unit))
     c = draw(arrays(np.float64, q, elements=unit))
-    rho = draw(st.one_of(st.just(0.0), st.floats(0.01, 4.0)))
+    rho = draw(st.one_of(st.just(0.0), st.floats(0.01, 4.0), _TINY_RADII))
     gamma = draw(st.floats(0.05, 2.0))
     return g, c, left @ right, rho, gamma
+
+
+# radii so small that ||beta||/rho is above 1e100 or overflows: subnormal,
+# and normal ones from 1e-150, where the test's own squares do not underflow
+_TINY_RADII = st.one_of(
+    st.floats(0.0, 2.2250738585072014e-308, exclude_min=True),
+    st.floats(-150.0, -100.0).map(lambda e: 10.0**e),
+)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -214,6 +214,38 @@ def test_szo_batch_evaluates_shared_base_once():
             assert res.oracle_calls == 2 * 4 * 3
 
 
+def test_szo_batch_matches_row_major_reference():
+    # the estimator works on an (n, m) copy of its directions, yet it must
+    # give the bits of the row-major formula; value still sees (m, n) batches
+    m, mu = 300, 0.05
+    shapes = []
+
+    def value(xs):
+        shapes.append(xs.shape)
+        return 0.5 * (xs**2).sum(axis=-1) - np.cos(xs).sum(axis=-1)
+
+    for n in range(1, 6):
+        x = np.linspace(-1.0, 1.5, n)
+        for sigma in (0.0, 0.3):
+            for vectorized in (True, False):
+                prob = ConstrainedProblem(
+                    n=n,
+                    q=1,
+                    constraints=lambda x: (np.zeros(1), np.zeros((1, x.size))),
+                    oracle=GaussianOracle(value=value, sigma=sigma, vectorized=vectorized),
+                    constants=ProblemConstants(L_g=1.0, sigma=sigma),
+                )
+                stream = RandomStream(14, (n,))
+                shapes.clear()
+                got = szo_gradient_batch(prob, x, mu, m, stream)
+                # m + 1 evaluated rows: the shared base row once
+                assert shapes == ([(m, n), (1, n)] if vectorized else [(n,)] * (m + 1))
+                rng = stream.generator()
+                v = rng.standard_normal((m, n))
+                fa, fb = prob.oracle.value_pair_batch(x + mu * v, x[None], rng)
+                assert np.array_equal(got, (((fa - fb) / mu)[:, None] * v).mean(axis=0))
+
+
 def test_szo_solver_rejects_non_finite_batch():
     calls = []
 
