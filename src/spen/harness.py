@@ -423,9 +423,12 @@ def monte_carlo(
     quantity names to scalars.  Replications execute in ``order`` (default
     ascending), but aggregation always iterates replication ids in
     ascending order, so the estimates are bit-identical under any
-    execution order.  Failed replications (a ``SpenError``, or a numeric
-    ``LinAlgError`` or ``ArithmeticError``) are recorded and skipped; the
-    result is flagged partial when more than 5% fail.
+    execution order.  Failed replications are recorded with the error's
+    type and message and skipped; the result is flagged partial when more
+    than 5% fail.  A failure is a ``SpenError`` or a numeric error: a
+    ``ValueError`` (which covers ``LinAlgError`` and math domain errors such
+    as ``math.sqrt(-1)`` in a user oracle) or an ``ArithmeticError``.
+    Programming errors such as ``TypeError`` propagate.
     """
     if reps < 30:
         raise ConfigError(f"replication study needs reps >= 30, got {reps}")
@@ -437,7 +440,7 @@ def monte_carlo(
     for rep in schedule:
         try:
             outcomes[rep] = dict(run_fn(rep, stream.child(rep)))
-        except (SpenError, np.linalg.LinAlgError, ArithmeticError) as err:
+        except (SpenError, ValueError, ArithmeticError) as err:
             failures.append((rep, f"{type(err).__name__}: {err}"))
     failures.sort(key=lambda pair: pair[0])
     if not outcomes:

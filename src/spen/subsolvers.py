@@ -13,6 +13,16 @@ Each one maximizes a concave diagonal quadratic over a ball, in a basis
 from ``J``, with the one exact routine :func:`_ball_point` (the secular
 equation of a ball-constrained quadratic).  Each returns a primal-dual gap
 as a certificate, so callers never have to trust iteration counts.
+
+The factorizations behind them are remembered, one of each kind: the
+eigenbasis of ``gamma*J J'`` that :func:`prox_step` uses with two or more
+constraint rows, and the SVD of ``J`` that :func:`theta` and :func:`phi`
+share.  The last one is reused while its inputs repeat: the same ``gamma``
+(prox only) and a ``J`` with the same shape, strides and bits.  A penalty
+round runs thousands of prox steps at one ``gamma``, and with linear
+constraints ``J`` never changes, so a round factorizes once.  A miss
+computes the factorization as before, plus a copy of ``J``'s bytes for
+the key, about a microsecond in all.
 """
 
 from __future__ import annotations
@@ -70,6 +80,13 @@ class BallSubproblemResult:
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a 1-D float vector, the same bits as ``np.linalg.norm``."""
     return math.sqrt(v.dot(v))
+
+
+def _as_jacobian(jac) -> np.ndarray:
+    """``np.atleast_2d`` of ``jac`` as floats, without its call overhead
+    (about a microsecond) when ``jac`` already has two axes."""
+    jac = np.asarray(jac, dtype=float)
+    return jac if jac.ndim >= 2 else np.atleast_2d(jac)
 
 
 def _secular_root(w: np.ndarray, beta: np.ndarray, radius: float) -> float:
@@ -147,11 +164,40 @@ def _ball_point(w: np.ndarray, beta: np.ndarray, radius: float) -> tuple[np.ndar
     return beta / (w + nu), nu
 
 
+# The last factorization of each kind, as ``kind -> (key, *factors)``.
+# The key holds the inputs' bits, so a hit returns what the factorization
+# would compute again.  Each entry is replaced as one tuple, so threads at
+# worst both compute it; the stored arrays are read-only.
+_memo: dict[str, tuple] = {}
+
+
+def _prox_eigenbasis(jac: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenbasis ``(w, Q)`` of ``gamma*J J'``, eigenvalues ascending;
+    those at the rounding floor are set to zero."""
+    key = (gamma, jac.shape, jac.strides, jac.tobytes())
+    entry = _memo.get("eigh")
+    if entry is None or entry[0] != key:
+        w, q_mat = np.linalg.eigh(gamma * (jac @ jac.T))
+        floor = max(float(w[-1]), 1.0) * 1e-14
+        if w[0] <= floor:
+            w = np.where(w > floor, w, 0.0)
+        w.setflags(write=False)
+        q_mat.setflags(write=False)
+        entry = _memo["eigh"] = (key, w, q_mat)
+    return entry[1:]
+
+
 def _singular_basis(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Full SVD ``J = U diag(sv) V'`` and the rank ``k``: singular values at
     or below 1e-14 of the largest are taken as zero."""
-    u, sv, vt = np.linalg.svd(jac)
-    return u, sv, vt, int(np.count_nonzero(sv > sv[0] * 1e-14))
+    key = (jac.shape, jac.strides, jac.tobytes())
+    entry = _memo.get("svd")
+    if entry is None or entry[0] != key:
+        u, sv, vt = np.linalg.svd(jac)
+        for a in (u, sv, vt):
+            a.setflags(write=False)
+        entry = _memo["svd"] = (key, u, sv, vt, int(np.count_nonzero(sv > sv[0] * 1e-14)))
+    return entry[1:]
 
 
 def prox_step(
@@ -201,11 +247,16 @@ def prox_step(
     ``rho*||t|| - <lam, t>`` for the linearized residual ``t = c + J d``,
     a certificate since ``||lam|| <= rho``.  With one constraint row ``j``
     the dual is the scalar ``lam = clip(b/a, -rho, rho)`` with
-    ``a = gamma*||j||^2`` and ``b = c - gamma*<j, g>``.
+    ``a = gamma*||j||^2`` and ``b = c - gamma*<j, g>``.  With more rows the
+    eigenbasis of ``gamma*J J'`` is computed once and reused while
+    ``gamma`` and ``J``'s shape, strides and bits repeat, so a loop at one
+    step size with a constant ``J`` (linear constraints) pays one ``eigh``;
+    when either changes, a call costs what it did without the reuse, plus
+    about a microsecond to key and store the new basis.
     """
     g = np.asarray(g, dtype=float)
     c = np.asarray(c, dtype=float).reshape(-1)
-    jac = np.atleast_2d(np.asarray(jac, dtype=float))
+    jac = _as_jacobian(jac)
     if gamma <= 0.0:
         raise SubsolverError(f"prox step size must be > 0, got {gamma}")
     if rho < 0.0:
@@ -226,12 +277,8 @@ def prox_step(
         gap = rho * abs(t) - lam0 * t
         lam = np.array([lam0])
     else:
-        # in the eigenbasis of gamma*J J' the dual is a ball quadratic;
-        # eigenvalues (ascending) at the floor are rounding and count as zero
-        w, q_mat = np.linalg.eigh(gamma * (jac @ jac.T))
-        floor = max(float(w[-1]), 1.0) * 1e-14
-        if w[0] <= floor:
-            w = np.where(w > floor, w, 0.0)
+        # in the eigenbasis of gamma*J J' the dual is a ball quadratic
+        w, q_mat = _prox_eigenbasis(jac, gamma)
         lam = q_mat @ _ball_point(w, q_mat.T @ (c - gamma * (jac @ g)), rho)[0]
         p_gamma = g + jac.T @ lam
         d = -gamma * p_gamma
@@ -276,7 +323,7 @@ def theta(c: np.ndarray, jac: np.ndarray, tol: float = DEFAULT_MEASURE_TOL) -> B
     ``SubsolverError`` on a non-finite input or a gap above ``tol``.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
-    jac = np.atleast_2d(np.asarray(jac, dtype=float))
+    jac = _as_jacobian(jac)
     _require_finite("theta", c=c, jac=jac)
     if jac.shape[0] == 1:
         return _theta_q1(c, jac)
@@ -325,7 +372,7 @@ def phi(
     """
     g = np.asarray(g, dtype=float)
     c = np.asarray(c, dtype=float).reshape(-1)
-    jac = np.atleast_2d(np.asarray(jac, dtype=float))
+    jac = _as_jacobian(jac)
     if rho < 0.0:
         raise SubsolverError(f"penalty parameter must be >= 0, got {rho}")
     _require_finite("phi", g=g, c=c, jac=jac)

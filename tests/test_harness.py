@@ -1,5 +1,7 @@
 """Tests for problem families, replication harness, slope fits, and CSV I/O."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,23 @@ def test_monte_carlo_survives_numeric_failure():
     assert res.failures == [(17, "LinAlgError: eigh did not converge")]
     assert not res.partial
     assert res.estimates["v"].count == 29
+
+
+def test_monte_carlo_survives_math_domain_error():
+    def run(rep, stream):
+        return {"v": math.sqrt(-1.0) if rep == 5 else float(rep)}
+
+    res = monte_carlo(run, 30, RandomStream(5))
+    assert res.failures == [(5, "ValueError: math domain error")]
+    assert res.estimates["v"].count == 29
+
+
+def test_monte_carlo_propagates_programming_errors():
+    def run(rep, stream):
+        return {"v": float(rep) + ("x" if rep == 5 else 0.0)}
+
+    with pytest.raises(TypeError):
+        monte_carlo(run, 30, RandomStream(5))
 
 
 def test_monte_carlo_validation():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spen import subsolvers
 from spen import (
     DEFAULT_MEASURE_TOL,
     ConfigError,
@@ -277,6 +278,25 @@ def test_run_penalty_two_constraints_near_feasible_steering():
     result = run_penalty(_two_constraint_problem(), config, RandomStream(607006))
     assert result.certificate.verdict
     assert np.linalg.norm(result.state.x - 1.0 / 3.0) <= math.sqrt(2.0 * 0.4)
+
+
+def test_run_penalty_factorizes_each_jacobian_once(monkeypatch):
+    # J is constant on this problem: one eigh per distinct step size gamma,
+    # one SVD for every theta and phi of the run
+    counts = {"eigh": 0, "svd": 0}
+    for name in counts:
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    subsolvers._memo.clear()
+    problem = _two_constraint_problem()
+    config = PenaltyConfig(epsilon=0.4, max_outer=5)
+    result = run_penalty(problem, config, RandomStream(11))
+    gammas = {subproblem_budget_for_rho(rec.rho, config.epsilon, problem.constants, "sfo",
+                                        n=problem.n).gamma for rec in result.records}
+    assert len(result.records) == 4 and result.state.oracle_calls > 1000
+    assert counts == {"eigh": len(gammas), "svd": 1}
 
 
 def test_run_penalty_without_exact_objective_uses_surrogate():

@@ -1,5 +1,8 @@
 """Tests for the prox step and the theta/phi ball subproblems."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +19,7 @@ from spen import (
     prox_step,
     theta,
 )
+from spen import subsolvers
 from spen.subsolvers import _ball_point, _secular_root
 
 
@@ -556,3 +560,104 @@ def test_phi_matches_iterative_reference():
         compared += 1
         r = phi(g, c, jac, rho)
         assert ref.value - ref.gap - 1e-10 <= r.value <= ref.value + 1e-10
+
+
+def _ball_outputs(x, g, c, jac, rho, gamma):
+    pr = prox_step(x, g, c, jac, rho, gamma)
+    th = theta(c, jac)
+    ph = phi(g, c, jac, rho)
+    return [pr.x_plus, pr.d, pr.lam, pr.p_gamma, pr.gap,
+            th.s_star, th.value, th.gap, ph.s_star, ph.value, ph.gap]
+
+
+def test_factorization_memo_is_history_independent():
+    # every call must give the bits of the same call with no remembered
+    # factorization, whatever was factorized before it
+    rng = np.random.default_rng(30)
+    x, g, c = rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal(2)
+    j1 = rng.standard_normal((2, 3))
+    j2 = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])  # rank 1: J J' has a zero eigenvalue
+    j1_t = np.ascontiguousarray(j1.T).T  # j1's values, transposed strides
+    assert np.array_equal(j1_t, j1) and j1_t.strides != j1.strides
+    mutated = j1.copy()
+    steps = [(j1, 0.5), (j2, 0.5), (j1, 0.5), (j1_t, 0.5), (j1, 0.25), (j1, 0.25)]
+    subsolvers._memo.clear()
+    for jac, gamma in steps + [(mutated, 0.25)]:
+        warm = _ball_outputs(x, g, c, jac, 1.5, gamma)
+        subsolvers._memo.clear()
+        cold = _ball_outputs(x, g, c, jac, 1.5, gamma)
+        assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
+    # the memo now holds the factorizations of `mutated`: change it in place
+    before = _ball_outputs(x, g, c, mutated, 1.5, 0.25)
+    mutated[1, 2] += 0.5
+    warm = _ball_outputs(x, g, c, mutated, 1.5, 0.25)
+    subsolvers._memo.clear()
+    cold = _ball_outputs(x, g, c, mutated, 1.5, 0.25)
+    assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
+    assert not np.array_equal(warm[2], before[2])
+
+
+def test_factorization_memo_stores_read_only_arrays():
+    subsolvers._memo.clear()
+    jac = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+    prox_step(np.zeros(3), np.ones(3), np.ones(2), jac, 1.0, 0.5)
+    theta(np.ones(2), jac)
+    stored = [a for entry in subsolvers._memo.values() for a in entry[1:]
+              if isinstance(a, np.ndarray)]
+    assert len(stored) == 5  # w, Q and U, sv, V'
+    for a in stored:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_factorization_memo_stores_nothing_on_failure(monkeypatch):
+    subsolvers._memo.clear()
+
+    def fail(a):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    jac = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        prox_step(np.zeros(3), np.ones(3), np.ones(2), jac, 1.0, 0.5)
+    with pytest.raises(np.linalg.LinAlgError):
+        theta(np.ones(2), jac)
+    assert not subsolvers._memo
+
+
+def test_factorization_memo_under_threads():
+    # threads that replace the memo's entries under one another still get
+    # the bits of a cold call: an entry is read and written as one tuple
+    rng = np.random.default_rng(31)
+    cases = [(rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal(2),
+              rng.standard_normal((2, 3)), float(rng.uniform(0.1, 1.0))) for _ in range(6)]
+    want = []
+    for x, g, c, jac, gamma in cases:
+        subsolvers._memo.clear()
+        want.append(_ball_outputs(x, g, c, jac, 1.5, gamma))
+    mismatches, errors = [], []
+
+    def work(offset):
+        try:
+            for i in range(150):
+                k = (i * (offset + 1) + offset) % len(cases)
+                x, g, c, jac, gamma = cases[k]
+                got = _ball_outputs(x, g, c, jac, 1.5, gamma)
+                if not all(np.array_equal(a, b) for a, b in zip(got, want[k])):
+                    mismatches.append(k)
+        except Exception as err:  # reported below, not lost in the thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and not mismatches
