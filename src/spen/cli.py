@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import math
 import sys
 import time
@@ -17,7 +16,6 @@ from .harness import build_problem, monte_carlo, slope_fit, write_records
 from .penalty import certificate_from_estimates, run_penalty
 from .problems import ConstrainedProblem, RandomStream, eval_constraints
 from .sfo import batch_gradient
-from .subsolvers import phi, prox_step, theta
 from .szo import smoothed_reference
 
 __all__ = ["main", "dispatch"]
@@ -172,63 +170,6 @@ def _cmd_sweep(config: RunConfig) -> int:
     return 0
 
 
-def _validate_subsolvers(problem: ConstrainedProblem, stream: RandomStream) -> str | None:
-    """Brute-force equivalence of the prox and measure subsolvers on small
-    random instances; a coarse full grid bounds the comparison error."""
-    rng = stream.generator()
-    for trial in range(20):
-        n = int(rng.integers(1, 3))
-        q = int(rng.integers(1, 3))
-        g = rng.standard_normal(n)
-        c = rng.standard_normal(q)
-        jac = rng.standard_normal((q, n))
-        rho = float(rng.uniform(1.0, 3.0))
-        gamma = float(rng.uniform(0.3, 1.0))
-        pr = prox_step(np.zeros(n), g, c, jac, rho, gamma)
-        attained = (
-            g @ pr.d + rho * np.linalg.norm(c + jac @ pr.d) + (pr.d @ pr.d) / (2.0 * gamma)
-        )
-        radius = gamma * (np.linalg.norm(g) + rho * np.linalg.norm(jac, 2)) + 1e-9
-        axes = [np.linspace(-radius, radius, 81)] * n
-        best = attained
-        for point in itertools.product(*axes):
-            d = np.asarray(point)
-            val = g @ d + rho * np.linalg.norm(c + jac @ d) + (d @ d) / (2.0 * gamma)
-            if val < best:
-                best = val
-        lip = np.linalg.norm(g) + rho * np.linalg.norm(jac, 2) + 2.0 * radius / gamma
-        margin = lip * (radius / 40.0) * math.sqrt(n) + 1e-7
-        if attained > best + margin:
-            return (
-                f"prox step objective {attained:.6g} exceeds grid minimum "
-                f"{best:.6g} beyond margin {margin:.2g} (trial {trial})"
-            )
-        th = theta(c, jac).measure
-        ph = phi(g, c, jac, rho).measure
-        s_axes = [np.linspace(-1.0, 1.0, 81)] * n
-        best_th = np.linalg.norm(c)
-        best_ph = rho * np.linalg.norm(c)
-        for point in itertools.product(*s_axes):
-            s = np.asarray(point)
-            if s @ s > 1.0 + 1e-12:
-                continue
-            r = np.linalg.norm(c + jac @ s)
-            if r < best_th:
-                best_th = r
-            v = g @ s + rho * r
-            if v < best_ph:
-                best_ph = v
-        lip_s = np.linalg.norm(jac, 2)
-        margin_th = lip_s * (2.0 / 80.0) * math.sqrt(n) + 1e-7
-        if abs(th - (np.linalg.norm(c) - best_th)) > margin_th:
-            return f"theta {th:.6g} disagrees with grid value (trial {trial})"
-        lip_phi = np.linalg.norm(g) + rho * lip_s
-        margin_phi = lip_phi * (2.0 / 80.0) * math.sqrt(n) + 1e-7
-        if abs(ph - (rho * np.linalg.norm(c) - best_ph)) > margin_phi:
-            return f"phi {ph:.6g} disagrees with grid value (trial {trial})"
-    return None
-
-
 def _validate_smoothing(problem: ConstrainedProblem, stream: RandomStream) -> str | None:
     """Gaussian-smoothing sandwich on the exact objective at random points."""
     if problem.true_objective is None or not problem.oracle.has_value:
@@ -339,7 +280,6 @@ def _validate_batch_variance(problem: ConstrainedProblem, stream: RandomStream) 
 
 
 _VALIDATORS = (
-    ("subsolver-brute-force", _validate_subsolvers),
     ("smoothing-bounds", _validate_smoothing),
     ("oracle-moments", _validate_oracle_stats),
     ("batch-averaging", _validate_batch_variance),
@@ -351,7 +291,8 @@ def _cmd_validate(config: RunConfig) -> int:
     problem = build_problem(config.problem)
     root = RandomStream(seed=config.seed)
     failures = 0
-    for idx, (name, fn) in enumerate(_VALIDATORS):
+    # count from 1: child(0) fed a since-deleted subsolver check, so draws stay put
+    for idx, (name, fn) in enumerate(_VALIDATORS, start=1):
         message = fn(problem, root.child(idx))
         if message is None:
             print(f"[PASS] {name}")

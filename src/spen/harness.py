@@ -294,41 +294,6 @@ def _build_p3(spec: TestProblemSpec) -> ConstrainedProblem:
     )
 
 
-def _solve_rosen_kkt() -> tuple[np.ndarray, float]:
-    """Newton solve of the Rosenbrock objective restricted to the feasible
-    line x2 = 1 - x1, run once at build time."""
-
-    def dg(t):
-        # d/dt of 100*(1 - t - t^2)^2 + (1 - t)^2
-        u = 1.0 - t - t * t
-        return 200.0 * u * (-1.0 - 2.0 * t) - 2.0 * (1.0 - t)
-
-    def d2g(t):
-        u = 1.0 - t - t * t
-        return 200.0 * ((-1.0 - 2.0 * t) ** 2 - 2.0 * u) + 2.0
-
-    best = None
-    for t in (0.6, -1.8):
-        for _ in range(200):
-            d1, d2 = dg(t), d2g(t)
-            if abs(d1) <= 1e-14 or d2 == 0.0:
-                break
-            t = t - d1 / d2
-        if abs(dg(t)) <= 1e-12:
-            gval = 100.0 * (1.0 - t - t * t) ** 2 + (1.0 - t) ** 2
-            if best is None or gval < best[0]:
-                best = (gval, t)
-    if best is None:
-        raise ConfigError("line-restricted reference solve failed to converge")
-    t = best[1]
-    x = np.array([t, 1.0 - t])
-    grad = np.array(
-        [-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]), 200.0 * (x[1] - x[0] ** 2)]
-    )
-    lam = -0.5 * (grad[0] + grad[1])
-    return x, lam
-
-
 def _build_rosen(spec: TestProblemSpec) -> ConstrainedProblem:
     _check_spec_dimension(spec, 2, 2)
 
@@ -346,7 +311,13 @@ def _build_rosen(spec: TestProblemSpec) -> ConstrainedProblem:
     def cons(x):
         return np.array([x[0] + x[1] - 1.0]), np.array([[1.0, 1.0]])
 
-    x_star, lam_star = _solve_rosen_kkt()
+    # on the feasible line x = (t, 1 - t) the objective's derivative is
+    # 400t^3 + 600t^2 - 198t - 202; x_star is the real root with least f
+    roots = np.roots([400.0, 600.0, -198.0, -202.0])
+    roots = roots[np.isreal(roots)].real
+    on_line = np.stack([roots, 1.0 - roots], axis=1)
+    x_star = on_line[np.argmin(fval(on_line))]
+    lam_star = -0.5 * float(fgrad(x_star).sum())
     constants = ProblemConstants(
         L_g=6600.0,
         L_J=0.05,

@@ -207,7 +207,6 @@ def prox_step(
     jac: np.ndarray,
     rho: float,
     gamma: float,
-    tol: float = DEFAULT_PROX_TOL,
 ) -> ProxResult:
     """Proximal step of the linearized exact-penalty model.
 
@@ -227,19 +226,18 @@ def prox_step(
         Penalty parameter, ``>= 0``.
     gamma : float
         Step size, ``> 0``.
-    tol : float
-        Acceptable duality gap for the returned step.
 
     Returns
     -------
     ProxResult
         With stationarity ``g + J' lam + d/gamma = 0`` holding exactly by
-        construction and ``gap <= tol`` certified.
+        construction and ``gap <= DEFAULT_PROX_TOL`` certified.
 
     Raises
     ------
     SubsolverError
-        If the certified gap exceeds ``tol`` or is not a number.
+        If the certified gap exceeds ``DEFAULT_PROX_TOL`` or is not a
+        number.
 
     Notes
     -----
@@ -284,8 +282,7 @@ def prox_step(
         d = -gamma * p_gamma
         t = c + jac @ d
         gap = max(rho * _norm(t) - float(lam.dot(t)), 0.0)
-    if not (gap <= tol):
-        raise SubsolverError(f"prox duality gap {gap:.3e} exceeds tolerance {tol:.3e}", gap=gap)
+    _check_gap("prox", gap, DEFAULT_PROX_TOL)
     return ProxResult(np.asarray(x, dtype=float) + d, d, lam, p_gamma, gap)
 
 
@@ -303,13 +300,18 @@ def _theta_q1(c: np.ndarray, jac: np.ndarray) -> BallSubproblemResult:
     return BallSubproblemResult(s, value, 0.0, measure)
 
 
+def _check_gap(name: str, gap: float, tol: float) -> None:
+    if not (gap <= tol):  # also rejects a NaN gap
+        raise SubsolverError(f"{name} duality gap {gap:.3e} exceeds tolerance {tol:.3e}", gap=gap)
+
+
 def _require_finite(measure: str, **arrays: np.ndarray) -> None:
     for name, a in arrays.items():
         if not np.isfinite(a).all():
             raise SubsolverError(f"{measure} input {name} has a non-finite entry")
 
 
-def theta(c: np.ndarray, jac: np.ndarray, tol: float = DEFAULT_MEASURE_TOL) -> BallSubproblemResult:
+def theta(c: np.ndarray, jac: np.ndarray) -> BallSubproblemResult:
     """Infeasibility stationarity measure ``||c|| - min_{||s||<=1} ||c + J s||``.
 
     With ``J = U diag(sv) V'`` and ``t = V's``, minimizing ``||c + J s||^2/2``
@@ -320,7 +322,8 @@ def theta(c: np.ndarray, jac: np.ndarray, tol: float = DEFAULT_MEASURE_TOL) -> B
     primal-dual gap at ``g = 0``, ``rho = 1``: ``||r|| - D(lam)`` with
     ``D(lam) = <lam, c> - ||J' lam||`` at the better of ``lam = 0`` and
     ``lam = r/||r||``.  The measure is clamped to be nonnegative.  Raises
-    ``SubsolverError`` on a non-finite input or a gap above ``tol``.
+    ``SubsolverError`` on a non-finite input or a gap above
+    ``DEFAULT_MEASURE_TOL``.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     jac = _as_jacobian(jac)
@@ -336,18 +339,11 @@ def theta(c: np.ndarray, jac: np.ndarray, tol: float = DEFAULT_MEASURE_TOL) -> B
     # lam = 0 gives D = 0; when r is at rounding level, r/||r|| is noise
     dual = (float(r @ c) - _norm(jac.T @ r)) / value if value > 0.0 else 0.0
     gap = max(value - max(dual, 0.0), 0.0)
-    if not (gap <= tol):
-        raise SubsolverError(f"theta duality gap {gap:.3e} exceeds tolerance {tol:.3e}", gap=gap)
+    _check_gap("theta", gap, DEFAULT_MEASURE_TOL)
     return BallSubproblemResult(s, value, gap, max(float(np.linalg.norm(c)) - value, 0.0))
 
 
-def phi(
-    g: np.ndarray,
-    c: np.ndarray,
-    jac: np.ndarray,
-    rho: float,
-    tol: float = DEFAULT_MEASURE_TOL,
-) -> BallSubproblemResult:
+def phi(g: np.ndarray, c: np.ndarray, jac: np.ndarray, rho: float) -> BallSubproblemResult:
     """Penalty steering measure of the linearized model.
 
     Evaluates ``rho*||c|| - min_{||s||<=1} ( <g, s> + rho*||c + J s|| )``
@@ -368,7 +364,8 @@ def phi(
 
     ``gap`` is ``P(s) - D(lam)``, ``D(lam) = <lam, c> - ||g + J' lam||``, for
     the best points seen (``s`` scaled into the ball); a negative ``rho``, a
-    non-finite input or a gap above ``tol`` raises ``SubsolverError``.
+    non-finite input or a gap above ``DEFAULT_MEASURE_TOL`` raises
+    ``SubsolverError``.
     """
     g = np.asarray(g, dtype=float)
     c = np.asarray(c, dtype=float).reshape(-1)
@@ -441,6 +438,5 @@ def phi(
         if not lo < mu < hi:
             break
     gap = max(best_p - best_d, 0.0)
-    if not (gap <= tol):
-        raise SubsolverError(f"phi duality gap {gap:.3e} exceeds tolerance {tol:.3e}", gap=gap)
+    _check_gap("phi", gap, DEFAULT_MEASURE_TOL)
     return BallSubproblemResult(best_s, best_p, gap, max(rho * _norm(c) - best_p, 0.0))

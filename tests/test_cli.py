@@ -33,6 +33,14 @@ replications = 30
 seed = 1
 """
 
+# the checks `spen validate` runs, in the order it prints them
+VALIDATE_CHECKS = (
+    "smoothing-bounds",
+    "oracle-moments",
+    "batch-averaging",
+    "constraint-jacobian-fd",
+)
+
 
 def _write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -130,16 +138,18 @@ def test_validate_passes_on_healthy_problem(tmp_path, capsys):
     cfg = _write(tmp_path, "[problem]\nfamily = P2\nsigma = 0.1\n"
                            "[penalty]\nepsilon = 0.4\n[run]\nseed = 2\n")
     assert main(["validate", "--config", cfg]) == 0
-    text = capsys.readouterr().out
-    assert text.count("[PASS]") == 5
-    assert "[FAIL]" not in text
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"[PASS] {name}" for name in VALIDATE_CHECKS] + [
+        "validate: 4/4 properties hold"
+    ]
 
 
 def test_validate_flags_wrong_jacobian(tmp_path, capsys):
     cfg = _write(tmp_path, "[problem]\nfamily = DEBUG-BADJAC\nsigma = 0.1\n"
                            "[penalty]\nepsilon = 0.4\n[run]\nseed = 2\n")
     assert main(["validate", "--config", cfg]) == 1
-    text = capsys.readouterr().out
-    assert "[FAIL] constraint-jacobian-fd" in text
-    assert "finite differences" in text
-    assert text.count("[PASS]") == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [f"[PASS] {name}" for name in VALIDATE_CHECKS[:3]]
+    assert lines[3].startswith("[FAIL] constraint-jacobian-fd: ")
+    assert "finite differences" in lines[3]
+    assert lines[4:] == ["validate: 3/4 properties hold"]

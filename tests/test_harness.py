@@ -73,6 +73,11 @@ def test_rosen_eq_solution_on_line():
     prob = build_problem(TestProblemSpec("ROSEN-EQ", sigma=0.1))
     sol = prob.known_solution
     assert abs(sol.x_star.sum() - 1.0) < 1e-12
+    # of the line's three stationary points, x_star is the one with least f:
+    # no point of a fine grid on the line does better
+    t = np.linspace(-3.0, 3.0, 6001)
+    line_values = [prob.true_value_grad(np.array([ti, 1.0 - ti]))[0] for ti in t]
+    assert sol.f_star <= min(line_values)
 
 
 def test_debug_family_ships_wrong_jacobian():

@@ -162,7 +162,7 @@ def test_prox_q2_matches_reference_bit_for_bit():
     interior = boundary = 0
     for _ in range(2400):
         x, g, c, jac, rho, gamma = _q2_prox_instance(rng)
-        pr = prox_step(x, g, c, jac, rho, gamma, tol=np.inf)
+        pr = prox_step(x, g, c, jac, rho, gamma)
         lam = dual_ball_quadratic(gamma * (jac @ jac.T), c - gamma * (jac @ g), rho)
         norm_lam = float(np.linalg.norm(lam))
         # the reference's secular root can stop short of a tiny root; its
