@@ -23,11 +23,13 @@ from .harness import (
     FAMILIES,
     MonteCarloResult,
     SlopeFit,
+    StudyResult,
     TestProblemSpec,
     build_problem,
     kkt_residuals,
     monte_carlo,
     read_records,
+    run_study,
     slope_fit,
     write_records,
 )

@@ -12,8 +12,8 @@ import numpy as np
 
 from .config import RunConfig, parse_config
 from .errors import ConfigError, SpenError
-from .harness import build_problem, monte_carlo, slope_fit, write_records
-from .penalty import certificate_from_estimates, run_penalty
+from .harness import build_problem, run_study, slope_fit, write_records
+from .penalty import run_penalty
 from .problems import ConstrainedProblem, RandomStream, eval_constraints
 from .sfo import batch_gradient
 from .szo import smoothed_reference
@@ -62,39 +62,6 @@ def _cmd_solve(config: RunConfig) -> int:
     return 0
 
 
-def _certify_once(
-    config: RunConfig, epsilon: float, records_sink: list, root: RandomStream | None = None
-) -> tuple:
-    """Run the full driver over all replications at one accuracy level.
-
-    The aggregate certificate averages the per-replication terminal
-    residuals and infeasibility measures; its multiplier field is the mean
-    terminal multiplier (diagnostic only, the verdict uses the estimates).
-    """
-    problem = build_problem(config.problem)
-    pcfg = dataclasses.replace(config.penalty, epsilon=epsilon)
-    if root is None:
-        root = RandomStream(seed=config.seed)
-    lam_sink: list[np.ndarray] = []
-
-    def run_fn(rep: int, stream: RandomStream):
-        result = run_penalty(problem, pcfg, stream, replication=rep)
-        records_sink.extend(result.records)
-        lam_sink.append(result.certificate.lam)
-        return {
-            "crit_sq": result.certificate.crit_sq.mean,
-            "theta": result.certificate.theta.mean,
-            "oracle_calls": float(result.state.oracle_calls),
-        }
-
-    mc = monte_carlo(run_fn, config.replications, root)
-    lam_mean = np.mean(np.stack(lam_sink), axis=0) if lam_sink else np.zeros(problem.q)
-    cert = certificate_from_estimates(
-        epsilon, mc.estimates["crit_sq"], mc.estimates["theta"], lam_mean, config.replications
-    )
-    return cert, mc
-
-
 def _print_certificate(cert, mc) -> None:
     crit, th = cert.crit_sq, cert.theta
     print(
@@ -112,18 +79,19 @@ def _print_certificate(cert, mc) -> None:
 
 
 def _cmd_certify(config: RunConfig) -> int:
-    records: list = []
+    problem = build_problem(config.problem)
     t0 = time.perf_counter()
-    cert, mc = _certify_once(config, config.penalty.epsilon, records)
+    study = run_study(problem, config.penalty, config.replications, RandomStream(config.seed))
     elapsed = time.perf_counter() - t0
+    cert = study.certificate
     print(
         f"family={config.problem.family} mode={config.penalty.oracle_mode} "
         f"epsilon={_fmt(config.penalty.epsilon)} seed={config.seed} reps={config.replications}"
     )
-    _print_certificate(cert, mc)
+    _print_certificate(cert, study.mc)
     print(f"elapsed: {elapsed:.2f}s")
     if config.output is not None:
-        write_records(records, config.output)
+        write_records(study.records, config.output)
         print(f"records: {config.output}")
     return 0 if cert.verdict else 1
 
@@ -140,19 +108,20 @@ def _cmd_sweep(config: RunConfig) -> int:
         raise ConfigError(
             f"sweep needs >= 3 accuracy levels for a slope fit, got {list(config.epsilons)}"
         )
+    problem = build_problem(config.problem)
+    root = RandomStream(seed=config.seed)
     points = []
     print(
         f"family={config.problem.family} mode={config.penalty.oracle_mode} "
         f"seed={config.seed} reps={config.replications} grid={list(config.epsilons)}"
     )
     for idx, epsilon in enumerate(config.epsilons):
-        records: list = []
+        pcfg = dataclasses.replace(config.penalty, epsilon=epsilon)
         t0 = time.perf_counter()
-        cert, mc = _certify_once(
-            config, epsilon, records, RandomStream(seed=config.seed).child(idx)
-        )
+        study = run_study(problem, pcfg, config.replications, root.child(idx))
         elapsed = time.perf_counter() - t0
-        calls = mc.estimates["oracle_calls"].mean
+        cert = study.certificate
+        calls = study.mc.estimates["oracle_calls"].mean
         points.append((epsilon, calls))
         print(
             f"epsilon={_fmt(epsilon)}: mean_calls={_fmt(calls)} "
@@ -161,7 +130,7 @@ def _cmd_sweep(config: RunConfig) -> int:
         )
         if config.output is not None:
             path = _sweep_output_path(config.output, epsilon)
-            write_records(records, path)
+            write_records(study.records, path)
             print(f"records: {path}")
     fit = slope_fit(points)
     print(
@@ -303,18 +272,15 @@ def _cmd_validate(config: RunConfig) -> int:
     return 1 if failures else 0
 
 
+_COMMANDS = dict(solve=_cmd_solve, certify=_cmd_certify, sweep=_cmd_sweep, validate=_cmd_validate)
+
+
 def dispatch(subcommand: str, config: RunConfig) -> int:
     """Run one subcommand under a validated configuration; returns the exit
     code (0 success/verdict-true, 1 verdict-false or property failure)."""
-    if subcommand == "solve":
-        return _cmd_solve(config)
-    if subcommand == "certify":
-        return _cmd_certify(config)
-    if subcommand == "sweep":
-        return _cmd_sweep(config)
-    if subcommand == "validate":
-        return _cmd_validate(config)
-    raise ConfigError(f"unknown subcommand {subcommand!r}")
+    if subcommand not in _COMMANDS:
+        raise ConfigError(f"unknown subcommand {subcommand!r}")
+    return _COMMANDS[subcommand](config)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -325,9 +291,7 @@ def main(argv: list[str] | None = None) -> int:
             "run, certify, and measure the experiment harness."
         ),
     )
-    parser.add_argument(
-        "subcommand", choices=["solve", "certify", "sweep", "validate"]
-    )
+    parser.add_argument("subcommand", choices=list(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the configuration file")
     parser.add_argument("--seed", type=int, default=None, help="override [run] seed")
     parser.add_argument("--out", default=None, help="override [run] output path")

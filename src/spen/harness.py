@@ -1,5 +1,7 @@
-"""Built-in test problem families, Monte-Carlo estimation, complexity-slope
-measurement, and CSV persistence of run records."""
+"""Built-in test problem families, Monte-Carlo estimation, replication
+studies of the penalty method (assembled in replication order, whatever
+the execution order), complexity-slope measurement, and CSV persistence
+of run records."""
 
 from __future__ import annotations
 
@@ -11,7 +13,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConfigError, SpenError
-from .penalty import RunRecord
+from .penalty import CriticalityCertificate, PenaltyConfig, PenaltyRunResult, RunRecord
+from .penalty import certificate_from_estimates, run_penalty
 from .problems import (
     ConstrainedProblem,
     GaussianOracle,
@@ -26,10 +29,12 @@ __all__ = [
     "CSV_HEADER",
     "TestProblemSpec",
     "MonteCarloResult",
+    "StudyResult",
     "SlopeFit",
     "build_problem",
     "kkt_residuals",
     "monte_carlo",
+    "run_study",
     "slope_fit",
     "write_records",
     "read_records",
@@ -80,6 +85,17 @@ class MonteCarloResult:
     failures: list[tuple[int, str]]
     partial: bool
     reps: int
+
+
+@dataclass(frozen=True)
+class StudyResult:
+    """Replication study: the certificate of the ``crit_sq`` and ``theta``
+    estimates and the mean final multiplier, the Monte-Carlo result (which
+    also holds ``oracle_calls``), and every successful replication's rows."""
+
+    certificate: CriticalityCertificate
+    mc: MonteCarloResult
+    records: list[RunRecord]
 
 
 def kkt_residuals(
@@ -416,26 +432,48 @@ def monte_carlo(
     failures.sort(key=lambda pair: pair[0])
     if not outcomes:
         raise ConfigError(f"all {reps} replications failed; first: {failures[0][1]}")
-    first_keys = None
-    for rep in range(reps):
-        if rep in outcomes:
-            keys = sorted(outcomes[rep])
-            if first_keys is None:
-                first_keys = keys
-            elif keys != first_keys:
-                raise ConfigError(
-                    f"replication {rep} tracked {keys}, expected {first_keys}"
-                )
-    estimates = {}
-    for key in first_keys:
-        values = [outcomes[rep][key] for rep in range(reps) if rep in outcomes]
-        estimates[key] = mean_estimate(np.asarray(values))
+    done = sorted(outcomes)
+    first_keys = sorted(outcomes[done[0]])
+    for rep in done:
+        if sorted(outcomes[rep]) != first_keys:
+            raise ConfigError(
+                f"replication {rep} tracked {sorted(outcomes[rep])}, expected {first_keys}"
+            )
+    estimates = {
+        key: mean_estimate(np.asarray([outcomes[rep][key] for rep in done])) for key in first_keys
+    }
     return MonteCarloResult(
         estimates=estimates,
         failures=failures,
         partial=len(failures) > 0.05 * reps,
         reps=reps,
     )
+
+
+def run_study(
+    problem: ConstrainedProblem, config: PenaltyConfig, reps: int, stream: RandomStream
+) -> StudyResult:
+    """Run :func:`run_penalty` as replication ``rep`` on ``stream.child(rep)``
+    for each ``rep < reps`` through :func:`monte_carlo`.  Records and the
+    multiplier mean are assembled in ascending replication id, like the
+    estimates, so the result has the same bits under any execution order."""
+    runs: dict[int, PenaltyRunResult] = {}
+
+    def run_fn(rep: int, rep_stream: RandomStream) -> dict[str, float]:
+        result = runs[rep] = run_penalty(problem, config, rep_stream, replication=rep)
+        return {
+            "crit_sq": result.certificate.crit_sq.mean,
+            "theta": result.certificate.theta.mean,
+            "oracle_calls": float(result.state.oracle_calls),
+        }
+
+    mc = monte_carlo(run_fn, reps, stream)
+    done = sorted(runs)
+    lam_mean = np.mean(np.stack([runs[rep].certificate.lam for rep in done]), axis=0)
+    certificate = certificate_from_estimates(
+        config.epsilon, mc.estimates["crit_sq"], mc.estimates["theta"], lam_mean, reps
+    )
+    return StudyResult(certificate, mc, [r for rep in done for r in runs[rep].records])
 
 
 def slope_fit(points: list[tuple[float, float]]) -> SlopeFit:

@@ -462,50 +462,45 @@ def run_penalty(
     records: list[RunRecord] = []
     crossed = False
     gamma_last = math.nan
-    try:
-        for k in range(1, config.max_outer):
-            steered = steer_penalty(problem, state, config.xi, config.tau)
-            state.rho = steered.rho
-            budget = subproblem_budget_for_rho(
-                state.rho,
-                config.epsilon,
-                constants,
-                config.oracle_mode,
-                n=problem.n,
-                d_tilde=config.d_tilde,
-                d1_tilde=config.d1_tilde,
-                d2_tilde=config.d2_tilde,
+    for k in range(1, config.max_outer):
+        steered = steer_penalty(problem, state, config.xi, config.tau)
+        state.rho = steered.rho
+        budget = subproblem_budget_for_rho(
+            state.rho,
+            config.epsilon,
+            constants,
+            config.oracle_mode,
+            n=problem.n,
+            d_tilde=config.d_tilde,
+            d1_tilde=config.d1_tilde,
+            d2_tilde=config.d2_tilde,
+        )
+        res = solver(problem, state.rho, state.x, budget, stream.child(k))
+        state.k = k
+        state.x = res.x_R
+        state.G = res.G_R
+        state.oracle_calls += res.oracle_calls
+        gamma_last = budget.gamma
+        crit_sq = None
+        if problem.true_objective is not None:
+            c_new, jac_new = eval_constraints(problem, state.x)
+            pr = prox_step(state.x, state.G, c_new, jac_new, state.rho, budget.gamma)
+            crit_sq = _exact_crit_sq(problem, state.x, pr.lam, jac_new)
+        records.append(
+            RunRecord(
+                replication=replication,
+                outer_iter=k,
+                rho=state.rho,
+                theta=steered.theta,
+                phi=steered.phi,
+                crit_sq=crit_sq,
+                oracle_calls=state.oracle_calls,
             )
-            res = solver(problem, state.rho, state.x, budget, stream.child(k))
-            state.k = k
-            state.x = res.x_R
-            state.G = res.G_R
-            state.oracle_calls += res.oracle_calls
-            gamma_last = budget.gamma
-            crit_sq = None
-            if problem.true_objective is not None:
-                c_new, jac_new = eval_constraints(problem, state.x)
-                pr = prox_step(state.x, state.G, c_new, jac_new, state.rho, budget.gamma)
-                crit_sq = _exact_crit_sq(problem, state.x, pr.lam, jac_new)
-            records.append(
-                RunRecord(
-                    replication=replication,
-                    outer_iter=k,
-                    rho=state.rho,
-                    theta=steered.theta,
-                    phi=steered.phi,
-                    crit_sq=crit_sq,
-                    oracle_calls=state.oracle_calls,
-                )
-            )
-            if bound is not None and state.rho >= bound.rho_bar:
-                crossed = True
-                if config.early_stop:
-                    break
-    except (SteeringError, SubsolverError) as err:
-        err.partial_state = state
-        err.partial_records = records
-        raise
+        )
+        if bound is not None and state.rho >= bound.rho_bar:
+            crossed = True
+            if config.early_stop:
+                break
 
     c_fin, jac_fin = eval_constraints(problem, state.x)
     pr_fin = prox_step(state.x, state.G, c_fin, jac_fin, state.rho, gamma_last)

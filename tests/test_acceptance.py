@@ -25,13 +25,13 @@ from spen import (
     SolverBudget,
     TestProblemSpec,
     build_problem,
-    certificate_from_estimates,
     eval_constraints,
     mean_estimate,
     monte_carlo,
     phi,
     prox_step,
     run_penalty,
+    run_study,
     sfo_budget,
     sfo_stationarity_bound,
     sigma_tilde_sq,
@@ -315,29 +315,17 @@ def test_criterion_08_two_point_estimator_moments():
 def p2_replication_study():
     problem = build_problem(TestProblemSpec("P2", sigma=0.1))
     config = PenaltyConfig(epsilon=0.1, max_outer=5)
-    records = []
-
-    def run_fn(rep, stream):
-        res = run_penalty(problem, config, stream, replication=rep)
-        records.extend(res.records)
-        return {
-            "crit_sq": res.certificate.crit_sq.mean,
-            "theta": res.certificate.theta.mean,
-            "oracle_calls": float(res.state.oracle_calls),
-        }
-
     t0 = time.perf_counter()
-    mc = monte_carlo(run_fn, 100, RandomStream(109))
+    study = run_study(problem, config, 100, RandomStream(109))
     elapsed = time.perf_counter() - t0
-    return config, mc, records, elapsed
+    return config, study, elapsed
 
 
 def test_criterion_09_driver_certifies_p2(p2_replication_study):
-    config, mc, _, elapsed = p2_replication_study
-    crit = mc.estimates["crit_sq"]
-    th = mc.estimates["theta"]
-    cert = certificate_from_estimates(config.epsilon, crit, th, np.zeros(1), mc.reps)
-    ok = not mc.failures and cert.verdict and elapsed < 600.0
+    config, study, elapsed = p2_replication_study
+    cert = study.certificate
+    crit, th = cert.crit_sq, cert.theta
+    ok = not study.mc.failures and cert.verdict and elapsed < 600.0
     _report(9, ok, f"100 replications at epsilon=0.1: verdict {cert.verdict}, "
                    f"crit_sq ci95 upper {crit.ci95_high:.4f} <= 0.1, theta ci95 "
                    f"upper {th.ci95_high:.4f} <= {math.sqrt(config.epsilon):.4f}, "
@@ -345,9 +333,9 @@ def test_criterion_09_driver_certifies_p2(p2_replication_study):
 
 
 def test_criterion_10_steering_invariants(p2_replication_study):
-    config, _, records, _ = p2_replication_study
+    config, study, _ = p2_replication_study
     by_rep = {}
-    for rec in records:
+    for rec in study.records:
         by_rep.setdefault(rec.replication, []).append(rec)
     increment_violations = 0
     condition_violations = 0
@@ -374,13 +362,8 @@ def test_criterion_11_call_complexity_sweep():
     points = []
     for idx, eps in enumerate((0.4, 0.2, 0.1)):
         config = PenaltyConfig(epsilon=eps, max_outer=5)
-
-        def run_fn(rep, stream):
-            res = run_penalty(problem, config, stream, replication=rep)
-            return {"oracle_calls": float(res.state.oracle_calls)}
-
-        mc = monte_carlo(run_fn, 30, RandomStream(111).child(idx))
-        points.append((eps, mc.estimates["oracle_calls"].mean))
+        study = run_study(problem, config, 30, RandomStream(111).child(idx))
+        points.append((eps, study.mc.estimates["oracle_calls"].mean))
     fit = slope_fit(points)
     elapsed = time.perf_counter() - t0
     ok = fit.slope <= 3.8 and elapsed < 1800.0

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import spen.cli
+from spen import harness
 from spen import (
     ConfigError,
     RandomStream,
@@ -141,6 +143,49 @@ def test_monte_carlo_order_invariance():
     perm = list(rng.permutation(50))
     shuffled = monte_carlo(run, 50, RandomStream(2), order=perm)
     assert forward.estimates["v"] == shuffled.estimates["v"]
+
+
+def test_run_study_is_independent_of_execution_order(tmp_path, monkeypatch, capsys):
+    # `spen certify` run forward, then with the replications run in reverse:
+    # a multiplier mean taken in execution order changes its bits here, so
+    # the study must assemble its results in replication order
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("[problem]\nfamily = P2\nsigma = 0.1\n[penalty]\nepsilon = 0.4\n"
+                   "max_outer = 5\n[run]\nreplications = 30\nseed = 3\n")
+    run_study, run_penalty, monte_carlo = (
+        harness.run_study, harness.run_penalty, harness.monte_carlo)
+    studies, executed_lams = [], []
+
+    def capturing_study(*args):
+        studies.append(run_study(*args))
+        return studies[-1]
+
+    def capturing_penalty(*args, **kwargs):
+        result = run_penalty(*args, **kwargs)
+        executed_lams.append(result.certificate.lam)
+        return result
+
+    def certify(name):
+        out = tmp_path / f"{name}.csv"
+        assert spen.cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return out.read_bytes(), [ln for ln in lines if not ln.startswith(("elapsed", "records"))]
+
+    monkeypatch.setattr(spen.cli, "run_study", capturing_study)
+    monkeypatch.setattr(harness, "run_penalty", capturing_penalty)
+    forward_csv, forward_out = certify("forward")
+    monkeypatch.setattr(harness, "monte_carlo", lambda fn, reps, stream: monte_carlo(
+        fn, reps, stream, order=list(reversed(range(reps)))))
+    backward_csv, backward_out = certify("backward")
+
+    forward, backward = studies
+    in_execution_order = np.mean(np.stack(executed_lams[30:]), axis=0)
+    assert in_execution_order.tobytes() != backward.certificate.lam.tobytes()
+    assert forward.records == backward.records
+    assert forward.certificate.lam.tobytes() == backward.certificate.lam.tobytes()
+    assert forward.mc.estimates == backward.mc.estimates
+    assert forward_csv == backward_csv
+    assert forward_out == backward_out
 
 
 def test_monte_carlo_captures_failures():

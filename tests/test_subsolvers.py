@@ -1,5 +1,6 @@
 """Tests for the prox step and the theta/phi ball subproblems."""
 
+import dataclasses
 import sys
 import threading
 
@@ -624,6 +625,63 @@ def test_factorization_memo_stores_nothing_on_failure(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError):
         theta(np.ones(2), jac)
     assert not subsolvers._memo
+
+
+class _SwitchingMemo(dict):
+    """A memo on which every read after the first within one subsolver call
+    first refactorizes another Jacobian, as a thread switched in at that
+    point would."""
+
+    def __init__(self, switch):
+        super().__init__()
+        self.switch = switch
+        self.reads = 0
+
+    def _read(self):
+        self.reads += 1
+        if self.reads > 1 and self.switch is not None:
+            switch, self.switch = self.switch, None  # its own reads don't switch
+            try:
+                switch()
+            finally:
+                self.switch = switch
+
+    def get(self, key, default=None):
+        self._read()
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self._read()
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self._read()
+        return super().__contains__(key)
+
+
+def test_factorization_memo_survives_a_switch_between_reads(monkeypatch):
+    # deterministic form of the race the threaded test below can rarely hit:
+    # an entry read in two steps could pair one Jacobian's key with another's
+    # factors; the one-tuple entry is read once per call
+    rng = np.random.default_rng(32)
+    x, g, c = rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal(2)
+    jac, other = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+
+    def switch():
+        prox_step(x, g, c, other, 1.5, 0.3)
+        theta(c, other)
+
+    memo = _SwitchingMemo(switch)
+    for fn, args in ((prox_step, (x, g, c, jac, 1.5, 0.5)), (theta, (c, jac)),
+                     (phi, (g, c, jac, 1.5))):
+        monkeypatch.setattr(subsolvers, "_memo", {})
+        cold = fn(*args)
+        monkeypatch.setattr(subsolvers, "_memo", memo)
+        for _ in range(2):  # a miss or a hit, then a hit
+            memo.reads = 0
+            warm = fn(*args)
+            for field in dataclasses.fields(cold):
+                assert np.array_equal(getattr(warm, field.name), getattr(cold, field.name))
 
 
 def test_factorization_memo_under_threads():
