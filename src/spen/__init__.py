@@ -41,7 +41,6 @@ from .penalty import (
     PenaltyState,
     RunRecord,
     SteeringResult,
-    c_bar_constant,
     certificate_from_estimates,
     certify,
     outer_iteration_bound,

@@ -151,12 +151,13 @@ def _validate_smoothing(problem: ConstrainedProblem, stream: RandomStream) -> st
         return None
     rng = stream.generator()
     mu = 0.01
-    exact = lambda x: problem.true_value_grad(x)[0]
-    exact_batch = lambda pts: np.array([exact(p) for p in pts])
+    # the built-in families hand the exact objective's vectorized value
+    # function to the oracle, so one call covers a whole batch of points
+    exact_batch = problem.oracle._value
     for trial in range(5):
         x = lo + (hi - lo) * rng.uniform(0.25, 0.75, size=problem.n)
         sm = smoothed_reference(exact_batch, x, mu, 20000, stream.child(trial))
-        diff = sm.mean - exact(x)
+        diff = sm.mean - problem.true_value_grad(x)[0]
         slack = 4.0 * sm.stderr + 1e-12
         upper = mu**2 * l_g * problem.n / 2.0
         if diff < -slack or diff > upper + slack:
@@ -171,7 +172,7 @@ def _validate_oracle_stats(problem: ConstrainedProblem, stream: RandomStream) ->
     """First and second moments of the gradient oracle at the start point."""
     if not problem.oracle.has_gradient or problem.true_objective is None:
         return None
-    x = problem.x_init if problem.x_init is not None else np.zeros(problem.n)
+    x = problem.x_init
     sigma = problem.oracle.sigma
     draws = 4000
     samples = problem.oracle.gradient_batch(x, draws, stream.generator())
@@ -200,9 +201,8 @@ def _validate_jacobian(problem: ConstrainedProblem, stream: RandomStream) -> str
     """Central finite differences of the constraint map against its Jacobian."""
     rng = stream.generator()
     h = 1e-6
-    x0 = problem.x_init if problem.x_init is not None else np.zeros(problem.n)
     for trial in range(10):
-        x = np.asarray(x0, dtype=float) + rng.uniform(-0.5, 0.5, size=problem.n)
+        x = np.asarray(problem.x_init, dtype=float) + rng.uniform(-0.5, 0.5, size=problem.n)
         _, jac = eval_constraints(problem, x)
         fd = np.zeros_like(jac)
         for j in range(problem.n):
@@ -228,7 +228,7 @@ def _validate_batch_variance(problem: ConstrainedProblem, stream: RandomStream) 
     sigma = problem.oracle.sigma
     if sigma == 0.0:
         return None
-    x = problem.x_init if problem.x_init is not None else np.zeros(problem.n)
+    x = problem.x_init
     _, grad = problem.true_value_grad(x)
     m = 16
     reps = 1500

@@ -21,6 +21,7 @@ from .problems import (
     KnownSolution,
     ProblemConstants,
     RandomStream,
+    eval_constraints,
 )
 from .stats import ExpectationEstimate, mean_estimate
 
@@ -42,7 +43,6 @@ __all__ = [
     "RunRecord",
 ]
 
-FAMILIES = ("P1", "P2", "P3", "ROSEN-EQ", "DEBUG-BADJAC")
 CSV_HEADER = ("replication", "outer_iter", "rho", "theta", "phi", "crit_sq", "oracle_calls", "wall_ms")
 
 
@@ -102,8 +102,6 @@ def kkt_residuals(
     problem: ConstrainedProblem, x: np.ndarray, lam: np.ndarray
 ) -> tuple[float, float]:
     """Stationarity and feasibility residual norms at ``(x, lam)``."""
-    from .problems import eval_constraints
-
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
     c, jac = eval_constraints(problem, x)
@@ -122,6 +120,37 @@ def _check_spec_dimension(spec: TestProblemSpec, fixed: int | None, default: int
     return n
 
 
+def _family(
+    spec: TestProblemSpec,
+    fval: Callable[[np.ndarray], np.ndarray],
+    fgrad: Callable[[np.ndarray], np.ndarray],
+    cons: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    constants: dict[str, float],
+    x_init: np.ndarray,
+    half_width: float,
+    reference: tuple[np.ndarray, float] | None = None,
+) -> ConstrainedProblem:
+    """One-constraint family ``spec.family``: ``fval``/``fgrad`` drive the oracle and the exact
+    objective, the box is ``[-half_width, half_width]^n``, and ``reference = (x_star,
+    lambda_star)`` is the known solution, with ``f_star = fval(x_star)``."""
+    n = x_init.size
+    known = None
+    if reference is not None:
+        known = KnownSolution(reference[0], np.array([reference[1]]), float(fval(reference[0])))
+    return ConstrainedProblem(
+        n=n,
+        q=1,
+        constraints=cons,
+        oracle=GaussianOracle(value=fval, grad=fgrad, sigma=spec.sigma),
+        constants=ProblemConstants(sigma=spec.sigma, **constants),
+        true_objective=lambda x: (float(fval(x)), fgrad(x)),
+        x_init=x_init,
+        box=(np.full(n, -half_width), np.full(n, half_width)),
+        known_solution=known,
+        name=spec.family,
+    )
+
+
 def _build_p1(spec: TestProblemSpec) -> ConstrainedProblem:
     n = _check_spec_dimension(spec, None, 10)
 
@@ -135,32 +164,17 @@ def _build_p1(spec: TestProblemSpec) -> ConstrainedProblem:
     def cons(x):
         return np.zeros(1), np.zeros((1, n))
 
-    x_init = np.array([2.0 if i % 2 == 0 else 1.5 for i in range(n)])
-    box = (np.full(n, -3.0), np.full(n, 3.0))
-    constants = ProblemConstants(
+    constants = dict(
         L_g=1.1,
         L_J=0.05,
-        sigma=spec.sigma,
         f_low=0.0,
         kappa_g=1.3 * math.sqrt(n),
         kappa_c=0.0,
         kappa_f=2.45 * n,
         kappa_J=0.0,
     )
-    return ConstrainedProblem(
-        n=n,
-        q=1,
-        constraints=cons,
-        oracle=GaussianOracle(value=fval, grad=fgrad, sigma=spec.sigma),
-        constants=constants,
-        true_objective=lambda x: (float(fval(x)), fgrad(x)),
-        x_init=x_init,
-        box=box,
-        known_solution=KnownSolution(
-            x_star=np.zeros(n), lambda_star=np.zeros(1), f_star=0.0
-        ),
-        name="P1",
-    )
+    x_init = np.array([2.0 if i % 2 == 0 else 1.5 for i in range(n)])
+    return _family(spec, fval, fgrad, cons, constants, x_init, 3.0, (np.zeros(n), 0.0))
 
 
 _P2_TARGET = np.array([1.0, 1.0])
@@ -180,33 +194,17 @@ def _build_p2(spec: TestProblemSpec, corrupt_jacobian: bool = False) -> Constrai
     def cons(x):
         return np.array([x[0] + x[1] - 1.0]), jac_scale * np.array([[1.0, 1.0]])
 
-    constants = ProblemConstants(
+    constants = dict(
         L_g=1.0,
         L_J=0.05,
-        sigma=spec.sigma,
         f_low=0.0,
         kappa_g=math.sqrt(18.0),
         kappa_c=5.0,
         kappa_f=9.0,
         kappa_J=math.sqrt(2.0),
     )
-    known = None
-    if not corrupt_jacobian:
-        known = KnownSolution(
-            x_star=np.array([0.5, 0.5]), lambda_star=np.array([0.5]), f_star=0.25
-        )
-    return ConstrainedProblem(
-        n=2,
-        q=1,
-        constraints=cons,
-        oracle=GaussianOracle(value=fval, grad=fgrad, sigma=spec.sigma),
-        constants=constants,
-        true_objective=lambda x: (float(fval(x)), fgrad(x)),
-        x_init=np.array([2.0, 0.0]),
-        box=(np.full(2, -2.0), np.full(2, 2.0)),
-        known_solution=known,
-        name="DEBUG-BADJAC" if corrupt_jacobian else "P2",
-    )
+    reference = None if corrupt_jacobian else (np.array([0.5, 0.5]), 0.5)
+    return _family(spec, fval, fgrad, cons, constants, np.array([2.0, 0.0]), 2.0, reference)
 
 
 _P3_A = np.array([1.0, 1.2, 0.8])
@@ -281,33 +279,17 @@ def _build_p3(spec: TestProblemSpec) -> ConstrainedProblem:
     def cons(x):
         return np.array([x @ x - 1.0]), 2.0 * np.asarray(x, dtype=float).reshape(1, 3)
 
-    x_star, lam_star = _solve_p3_kkt()
-    constants = ProblemConstants(
+    constants = dict(
         L_g=15.0,
         L_J=2.0,
-        sigma=spec.sigma,
         f_low=-8.0,
         kappa_g=23.0,
         kappa_c=11.0,
         kappa_f=20.0,
         kappa_J=4.0 * math.sqrt(3.0),
     )
-    return ConstrainedProblem(
-        n=3,
-        q=1,
-        constraints=cons,
-        oracle=GaussianOracle(value=_p3_value, grad=_p3_grad, sigma=spec.sigma),
-        constants=constants,
-        true_objective=lambda x: (float(_p3_value(x)), _p3_grad(x)),
-        x_init=np.array([1.5, -1.0, 0.5]),
-        box=(np.full(3, -2.0), np.full(3, 2.0)),
-        known_solution=KnownSolution(
-            x_star=x_star,
-            lambda_star=np.array([lam_star]),
-            f_star=float(_p3_value(x_star)),
-        ),
-        name="P3",
-    )
+    x_init = np.array([1.5, -1.0, 0.5])
+    return _family(spec, _p3_value, _p3_grad, cons, constants, x_init, 2.0, _solve_p3_kkt())
 
 
 def _build_rosen(spec: TestProblemSpec) -> ConstrainedProblem:
@@ -334,34 +316,31 @@ def _build_rosen(spec: TestProblemSpec) -> ConstrainedProblem:
     on_line = np.stack([roots, 1.0 - roots], axis=1)
     x_star = on_line[np.argmin(fval(on_line))]
     lam_star = -0.5 * float(fgrad(x_star).sum())
-    constants = ProblemConstants(
+    constants = dict(
         L_g=6600.0,
         L_J=0.05,
-        sigma=spec.sigma,
         f_low=0.0,
         kappa_g=2200.0,
         kappa_c=5.0,
         kappa_f=3700.0,
         kappa_J=math.sqrt(2.0),
     )
-    return ConstrainedProblem(
-        n=2,
-        q=1,
-        constraints=cons,
-        oracle=GaussianOracle(value=fval, grad=fgrad, sigma=spec.sigma),
-        constants=constants,
-        true_objective=lambda x: (float(fval(x)), fgrad(x)),
-        x_init=np.array([-1.2, 1.0]),
-        box=(np.full(2, -2.0), np.full(2, 2.0)),
-        known_solution=KnownSolution(
-            x_star=x_star, lambda_star=np.array([lam_star]), f_star=float(fval(x_star))
-        ),
-        name="ROSEN-EQ",
-    )
+    x_init = np.array([-1.2, 1.0])
+    return _family(spec, fval, fgrad, cons, constants, x_init, 2.0, (x_star, lam_star))
+
+
+_BUILDERS: dict[str, Callable[[TestProblemSpec], ConstrainedProblem]] = {
+    "P1": _build_p1,
+    "P2": _build_p2,
+    "P3": _build_p3,
+    "ROSEN-EQ": _build_rosen,
+    "DEBUG-BADJAC": lambda spec: _build_p2(spec, corrupt_jacobian=True),
+}
+FAMILIES = tuple(_BUILDERS)
 
 
 def build_problem(spec: TestProblemSpec) -> ConstrainedProblem:
-    """Instantiate a built-in family.
+    """Build ``spec.family`` from the one builder table behind :data:`FAMILIES`.
 
     P1 is a smooth nonconvex objective with vacuous constraints (the
     composite solvers see c identically zero); P2 a convex quadratic with
@@ -374,18 +353,9 @@ def build_problem(spec: TestProblemSpec) -> ConstrainedProblem:
     """
     if spec.sigma < 0.0:
         raise ConfigError(f"noise level must be >= 0, got {spec.sigma}")
-    if spec.family == "P1":
-        problem = _build_p1(spec)
-    elif spec.family == "P2":
-        problem = _build_p2(spec)
-    elif spec.family == "P3":
-        problem = _build_p3(spec)
-    elif spec.family == "ROSEN-EQ":
-        problem = _build_rosen(spec)
-    elif spec.family == "DEBUG-BADJAC":
-        problem = _build_p2(spec, corrupt_jacobian=True)
-    else:
+    if spec.family not in _BUILDERS:
         raise ConfigError(f"unknown problem family {spec.family!r}; expected one of {FAMILIES}")
+    problem = _BUILDERS[spec.family](spec)
     if problem.known_solution is not None:
         stat, feas = kkt_residuals(
             problem, problem.known_solution.x_star, problem.known_solution.lambda_star

@@ -27,7 +27,6 @@ __all__ = [
     "PenaltyRunResult",
     "steer_penalty",
     "subproblem_budget_for_rho",
-    "c_bar_constant",
     "outer_iteration_bound",
     "run_penalty",
     "certificate_from_estimates",
@@ -138,15 +137,12 @@ class RunRecord:
 class OuterBound:
     """Closed-form outer-loop complexity data.
 
-    ``n_hat`` caps the number of outer iterations needed, ``rho_bar`` is
-    the penalty threshold past which the infeasibility guarantee holds,
-    and ``c_tilde``/``c_bar`` are the intermediate constants.
+    ``n_hat`` caps the number of outer iterations needed, and ``rho_bar``
+    is the penalty threshold past which the infeasibility guarantee holds.
     """
 
     n_hat: int
     rho_bar: float
-    c_tilde: float
-    c_bar: float
 
 
 @dataclass(frozen=True)
@@ -308,14 +304,6 @@ def subproblem_budget_for_rho(
     )
 
 
-def c_bar_constant(
-    epsilon: float, kappa_g: float, kappa_J: float, L_g: float, L_J: float
-) -> float:
-    """Uniform bound on prox-step lengths across all penalty levels:
-    ``kappa_J/L_J + sqrt(kappa_g^2 + epsilon/4)/L_g``."""
-    return kappa_J / L_J + math.sqrt(kappa_g**2 + 0.25 * epsilon) / L_g
-
-
 def outer_iteration_bound(
     epsilon: float,
     xi: float,
@@ -328,7 +316,8 @@ def outer_iteration_bound(
 ) -> OuterBound:
     """Closed-form cap on outer iterations and the penalty threshold.
 
-    With ``c_bar`` from :func:`c_bar_constant`,
+    With the uniform bound on prox-step lengths across all penalty levels
+    ``c_bar = kappa_J/L_J + sqrt(kappa_g^2 + epsilon/4)/L_g``,
 
     ``c_tilde = max{ (4*c_bar + sqrt(8*c_bar)*sqrt(L_g+L_J))^2 / xi^2,
     sqrt(4*kappa_g^2 + epsilon)/(1-xi) }``,
@@ -344,13 +333,13 @@ def outer_iteration_bound(
         raise ConfigError("tau and rho0 must be > 0")
     if kappa_g < 0.0 or L_g <= 0.0 or L_J <= 0.0:
         raise ConfigError("kappa_g must be >= 0 and L_g, L_J > 0")
-    c_bar = c_bar_constant(epsilon, kappa_g, kappa_J, L_g, L_J)
+    c_bar = kappa_J / L_J + math.sqrt(kappa_g**2 + 0.25 * epsilon) / L_g
     branch_steer = (4.0 * c_bar + math.sqrt(8.0 * c_bar) * math.sqrt(L_g + L_J)) ** 2 / xi**2
     branch_grad = math.sqrt(4.0 * kappa_g**2 + epsilon) / (1.0 - xi)
     c_tilde = max(branch_steer, branch_grad)
     rho_bar = c_tilde / math.sqrt(epsilon)
     n_hat = max(1, math.ceil(rho_bar / tau - rho0 / tau + 1.0))
-    return OuterBound(n_hat=n_hat, rho_bar=rho_bar, c_tilde=c_tilde, c_bar=c_bar)
+    return OuterBound(n_hat=n_hat, rho_bar=rho_bar)
 
 
 def _outer_bound_or_none(config: PenaltyConfig, constants: ProblemConstants) -> OuterBound | None:
@@ -450,10 +439,9 @@ def run_penalty(
     if not isinstance(config, PenaltyConfig):
         raise ConfigError("run_penalty needs a PenaltyConfig")
     constants = problem.constants
-    x0 = problem.x_init if problem.x_init is not None else np.zeros(problem.n)
     state = PenaltyState(
         k=0,
-        x=np.asarray(x0, dtype=float).copy(),
+        x=np.asarray(problem.x_init, dtype=float).copy(),
         G=np.zeros(problem.n),
         rho=config.rho0,
     )

@@ -48,7 +48,7 @@ class RandomStream:
         return np.random.default_rng(ss)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemConstants:
     """Smoothness and boundedness constants feeding the budget formulas.
 
@@ -182,8 +182,9 @@ class ConstrainedProblem:
     ``constraints`` maps a point to ``(c, J)`` with shapes ``(q,)`` and
     ``(q, n)`` and is exact.  ``true_objective`` (optional) maps a point to
     ``(f, grad_f)`` and is used for diagnostics and certification only,
-    never by the solvers.  Instances are immutable and safe to share
-    across concurrently running replications.
+    never by the solvers.  ``x_init`` defaults to the origin.  Instances
+    are immutable and safe to share across concurrently running
+    replications.
     """
 
     n: int
@@ -196,6 +197,10 @@ class ConstrainedProblem:
     box: tuple[np.ndarray, np.ndarray] | None = None
     known_solution: KnownSolution | None = None
     name: str = ""
+
+    def __post_init__(self) -> None:
+        if self.x_init is None:
+            object.__setattr__(self, "x_init", np.zeros(self.n))
 
     def true_value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         if self.true_objective is None:

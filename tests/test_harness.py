@@ -38,6 +38,14 @@ def test_families_build_and_reference_solutions_hold():
         assert prob.x_init is not None and prob.box is not None
 
 
+def test_every_family_in_the_table_builds_and_unknown_names_list_the_table():
+    for family in harness.FAMILIES:
+        assert build_problem(TestProblemSpec(family, sigma=0.1)).name == family
+    with pytest.raises(ConfigError) as err:
+        build_problem(TestProblemSpec("P4"))
+    assert str(harness.FAMILIES) in str(err.value)
+
+
 def test_p1_is_unconstrained_with_exact_trig_gradient():
     prob = build_problem(TestProblemSpec("P1", n=6, sigma=0.0))
     assert (prob.n, prob.q) == (6, 1)

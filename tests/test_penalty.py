@@ -19,7 +19,6 @@ from spen import (
     SubsolverError,
     TestProblemSpec,
     build_problem,
-    c_bar_constant,
     certificate_from_estimates,
     certify,
     mean_estimate,
@@ -178,13 +177,10 @@ def test_per_level_budget_requires_constants():
 
 
 def test_outer_bound_frozen_values():
-    assert abs(c_bar_constant(1.0, 1.0, 1.0, 1.0, 1.0) - 2.118033988749895) < 1e-14
     ob = outer_iteration_bound(1.0, 0.5, 1.0, 1.0, kappa_g=1.0, L_g=1.0,
                                L_J=1.0, kappa_J=1.0)
     assert ob.n_hat == 818
     assert abs(ob.rho_bar - 817.2191665199114) < 1e-9
-    assert abs(ob.c_tilde - 817.2191665199114) < 1e-9
-    assert abs(ob.c_bar - 2.118033988749895) < 1e-14
 
 
 def test_outer_bound_scales_and_saturates():

@@ -1,5 +1,7 @@
 """Tests for random streams, stochastic oracles, and problem containers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,19 @@ def test_true_value_grad_requires_exact_objective():
     prob = _quad_problem(with_true=False)
     with pytest.raises(OracleKindError):
         prob.true_value_grad(np.zeros(2))
+
+
+def test_start_point_defaults_to_the_origin():
+    prob = _quad_problem()
+    assert prob.x_init.dtype == np.float64
+    assert np.array_equal(prob.x_init, np.zeros(2))
+
+
+def test_constants_are_frozen():
+    prob = _quad_problem(sigma=0.1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prob.constants.sigma = 5.0
+    assert prob.constants.sigma == 0.1
 
 
 def test_constants_require():
