@@ -10,7 +10,6 @@ Monte-Carlo experiment harness exposed through the ``spen`` command.
 from .config import RunConfig, parse_config
 from .errors import (
     BudgetExceeded,
-    CertificationError,
     ConfigError,
     DomainError,
     OracleKindError,
@@ -42,7 +41,6 @@ from .penalty import (
     RunRecord,
     SteeringResult,
     certificate_from_estimates,
-    certify,
     outer_iteration_bound,
     run_penalty,
     steer_penalty,

@@ -37,7 +37,3 @@ class SteeringError(SpenError):
 
 class BudgetExceeded(SpenError):
     """A solver run would consume more oracle calls than its budget allows."""
-
-
-class CertificationError(SpenError):
-    """Criticality certification is impossible with the available oracles."""

@@ -295,16 +295,17 @@ def _build_p3(spec: TestProblemSpec) -> ConstrainedProblem:
 def _build_rosen(spec: TestProblemSpec) -> ConstrainedProblem:
     _check_spec_dimension(spec, 2, 2)
 
+    # products, not scalar ``**2``, so one point gives the bits of a batch row
     def fval(x):
         x = np.asarray(x, dtype=float)
         x1, x2 = x[..., 0], x[..., 1]
-        return 100.0 * (x2 - x1**2) ** 2 + (1.0 - x1) ** 2
+        d, e = x2 - x1 * x1, 1.0 - x1
+        return 100.0 * (d * d) + e * e
 
     def fgrad(x):
         x1, x2 = x[0], x[1]
-        return np.array(
-            [-400.0 * x1 * (x2 - x1**2) - 2.0 * (1.0 - x1), 200.0 * (x2 - x1**2)]
-        )
+        d, e = x2 - x1 * x1, 1.0 - x1
+        return np.array([-400.0 * x1 * d - 2.0 * e, 200.0 * d])
 
     def cons(x):
         return np.array([x[0] + x[1] - 1.0]), np.array([[1.0, 1.0]])

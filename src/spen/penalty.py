@@ -8,10 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificationError, ConfigError, SteeringError, SubsolverError
+from .errors import ConfigError, SteeringError, SubsolverError
 from .problems import ConstrainedProblem, ProblemConstants, RandomStream, eval_constraints
-from .sfo import SolverBudget, batch_gradient, sfo_budget, solve_nsco_sfo
-from .stats import ExpectationEstimate, mean_estimate
+# batch_gradient is unused here; test_installed_rebinds_every_namespace_and_restores reads it
+from .sfo import SolverBudget, batch_gradient, sfo_budget, solve_nsco_sfo  # noqa: F401
+from .stats import ExpectationEstimate
 from .subsolvers import DEFAULT_MEASURE_TOL, phi, prox_step, theta
 from .szo import szo_budget, solve_nsco_szo
 
@@ -30,7 +31,6 @@ __all__ = [
     "outer_iteration_bound",
     "run_penalty",
     "certificate_from_estimates",
-    "certify",
 ]
 
 MAX_STEER_DOUBLINGS = 60
@@ -386,12 +386,19 @@ def certificate_from_estimates(
     )
 
 
-def _exact_crit_sq(
-    problem: ConstrainedProblem, x: np.ndarray, lam: np.ndarray, jac: np.ndarray
-) -> float:
-    _, grad = problem.true_value_grad(x)
+def _stationarity(
+    problem: ConstrainedProblem, state: PenaltyState, gamma: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """``(||grad + J' lam||^2, lam, c, J)`` at the state: ``lam`` is the prox
+    dual at step ``gamma``, ``grad`` the exact gradient if any, else ``G``."""
+    c, jac = eval_constraints(problem, state.x)
+    lam = prox_step(state.x, state.G, c, jac, state.rho, gamma).lam
+    if problem.true_objective is not None:
+        grad = problem.true_value_grad(state.x)[1]
+    else:
+        grad = state.G
     resid = grad + jac.T @ lam
-    return float(resid @ resid)
+    return float(resid @ resid), lam, c, jac
 
 
 def run_penalty(
@@ -471,9 +478,7 @@ def run_penalty(
         gamma_last = budget.gamma
         crit_sq = None
         if problem.true_objective is not None:
-            c_new, jac_new = eval_constraints(problem, state.x)
-            pr = prox_step(state.x, state.G, c_new, jac_new, state.rho, budget.gamma)
-            crit_sq = _exact_crit_sq(problem, state.x, pr.lam, jac_new)
+            crit_sq = _stationarity(problem, state, budget.gamma)[0]
         records.append(
             RunRecord(
                 replication=replication,
@@ -490,15 +495,8 @@ def run_penalty(
             if config.early_stop:
                 break
 
-    c_fin, jac_fin = eval_constraints(problem, state.x)
-    pr_fin = prox_step(state.x, state.G, c_fin, jac_fin, state.rho, gamma_last)
-    lam = pr_fin.lam
+    crit_fin, lam, c_fin, jac_fin = _stationarity(problem, state, gamma_last)
     th_fin = theta(c_fin, jac_fin).measure
-    if problem.true_objective is not None:
-        crit_fin = _exact_crit_sq(problem, state.x, lam, jac_fin)
-    else:
-        resid = state.G + jac_fin.T @ lam
-        crit_fin = float(resid @ resid)
     certificate = certificate_from_estimates(
         config.epsilon,
         _degenerate_estimate(crit_fin, 1),
@@ -513,79 +511,3 @@ def run_penalty(
         bound=bound,
         crossed_rho_bar=crossed,
     )
-
-
-def certify(
-    problem: ConstrainedProblem,
-    x: np.ndarray,
-    lam: np.ndarray,
-    epsilon: float,
-    replications: int,
-    stream: RandomStream,
-) -> CriticalityCertificate:
-    """Certify a single point against the epsilon-critical-point conditions.
-
-    The infeasibility measure theta(x) is deterministic given ``x`` and is
-    evaluated once.  The squared stationarity residual
-    ``||grad f(x) + J(x)' lam||^2`` uses the exact objective gradient when
-    the problem exposes one; otherwise it is estimated from
-    ``replications`` independent batch gradients whose batch size is
-    chosen so the noise-induced upward bias is at most ``epsilon/20``.
-
-    Parameters
-    ----------
-    problem : ConstrainedProblem
-        Instance providing constraints and, optionally, the exact objective.
-    x : ndarray, shape (n,)
-        Point to certify.
-    lam : ndarray, shape (q,)
-        Multiplier paired with ``x`` (the final prox dual of a run).
-    epsilon : float
-        Target accuracy, > 0.
-    replications : int
-        Number of independent residual estimates, >= 30.
-    stream : RandomStream
-        Randomness for the batch estimates (unused on the exact path).
-
-    Returns
-    -------
-    CriticalityCertificate
-
-    Raises
-    ------
-    CertificationError
-        If the problem has no exact objective and its oracle offers no
-        gradient samples or no known noise level, so the residual cannot
-        be estimated with controlled bias.
-    """
-    if epsilon <= 0.0:
-        raise ConfigError(f"epsilon must be > 0, got {epsilon}")
-    if replications < 30:
-        raise ConfigError(f"certification needs >= 30 replications, got {replications}")
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    c, jac = eval_constraints(problem, x)
-    if lam.shape != (problem.q,):
-        raise ConfigError(f"multiplier has shape {lam.shape}, expected ({problem.q},)")
-    th = theta(c, jac).measure
-    theta_est = _degenerate_estimate(th, replications)
-    if problem.true_objective is not None:
-        crit_est = _degenerate_estimate(_exact_crit_sq(problem, x, lam, jac), replications)
-    else:
-        sigma = problem.constants.sigma
-        if sigma is None:
-            sigma = getattr(problem.oracle, "sigma", None)
-        if not problem.oracle.has_gradient or sigma is None:
-            raise CertificationError(
-                "cannot certify: no exact objective, and the oracle offers no "
-                "gradient samples with a known noise level"
-            )
-        m_big = max(64, math.ceil(20.0 * float(sigma) ** 2 / epsilon))
-        shift = jac.T @ lam
-        values = np.empty(replications)
-        for i in range(replications):
-            g_est = batch_gradient(problem, x, m_big, stream.child(i))
-            resid = g_est + shift
-            values[i] = float(resid @ resid)
-        crit_est = mean_estimate(values)
-    return certificate_from_estimates(epsilon, crit_est, theta_est, lam, replications)

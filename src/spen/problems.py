@@ -175,6 +175,12 @@ class KnownSolution:
     f_star: float | None = None
 
 
+def _frozen(a) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class ConstrainedProblem:
     """min f(x) subject to c(x) = 0, with f reachable only through oracles.
@@ -182,9 +188,9 @@ class ConstrainedProblem:
     ``constraints`` maps a point to ``(c, J)`` with shapes ``(q,)`` and
     ``(q, n)`` and is exact.  ``true_objective`` (optional) maps a point to
     ``(f, grad_f)`` and is used for diagnostics and certification only,
-    never by the solvers.  ``x_init`` defaults to the origin.  Instances
-    are immutable and safe to share across concurrently running
-    replications.
+    never by the solvers.  ``x_init`` (default the origin) and ``box`` are
+    kept as read-only float copies, so instances are immutable and safe to
+    share across concurrently running replications.
     """
 
     n: int
@@ -199,8 +205,10 @@ class ConstrainedProblem:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.x_init is None:
-            object.__setattr__(self, "x_init", np.zeros(self.n))
+        x_init = np.zeros(self.n) if self.x_init is None else self.x_init
+        object.__setattr__(self, "x_init", _frozen(x_init))
+        if self.box is not None:
+            object.__setattr__(self, "box", tuple(_frozen(b) for b in self.box))
 
     def true_value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         if self.true_objective is None:

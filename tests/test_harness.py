@@ -46,6 +46,16 @@ def test_every_family_in_the_table_builds_and_unknown_names_list_the_table():
     assert str(harness.FAMILIES) in str(err.value)
 
 
+def test_one_point_values_have_the_bits_of_the_batch():
+    for family in harness.FAMILIES:
+        prob = build_problem(TestProblemSpec(family, sigma=0.0))
+        lo, hi = prob.box
+        points = lo + (hi - lo) * np.random.default_rng(0).uniform(size=(10_000, prob.n))
+        batch, _ = prob.oracle.value_pair_batch(points, points[:1], None)
+        one = np.array([prob.true_value_grad(x)[0] for x in points])
+        assert one.tobytes() == batch.tobytes(), family
+
+
 def test_p1_is_unconstrained_with_exact_trig_gradient():
     prob = build_problem(TestProblemSpec("P1", n=6, sigma=0.0))
     assert (prob.n, prob.q) == (6, 1)
@@ -173,7 +183,7 @@ def test_run_study_is_independent_of_execution_order(tmp_path, monkeypatch, caps
         executed_lams.append(result.certificate.lam)
         return result
 
-    def certify(name):
+    def run_certify(name):
         out = tmp_path / f"{name}.csv"
         assert spen.cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -181,10 +191,10 @@ def test_run_study_is_independent_of_execution_order(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(spen.cli, "run_study", capturing_study)
     monkeypatch.setattr(harness, "run_penalty", capturing_penalty)
-    forward_csv, forward_out = certify("forward")
+    forward_csv, forward_out = run_certify("forward")
     monkeypatch.setattr(harness, "monte_carlo", lambda fn, reps, stream: monte_carlo(
         fn, reps, stream, order=list(reversed(range(reps)))))
-    backward_csv, backward_out = certify("backward")
+    backward_csv, backward_out = run_certify("backward")
 
     forward, backward = studies
     in_execution_order = np.mean(np.stack(executed_lams[30:]), axis=0)

@@ -20,7 +20,6 @@ from spen import (
     TestProblemSpec,
     build_problem,
     certificate_from_estimates,
-    certify,
     mean_estimate,
     outer_iteration_bound,
     run_penalty,
@@ -215,6 +214,27 @@ def test_run_penalty_record_invariants():
     assert result.certificate.replications == 1
 
 
+def test_run_penalty_stops_early_once_rho_crosses_rho_bar():
+    # P2's maps with constants whose threshold rho_bar (~29.89) the third
+    # round's level crosses: rho = 11, 21, 31 from rho0 = 1 and tau = 10
+    p2 = build_problem(TestProblemSpec("P2", sigma=0.0))
+    constants = ProblemConstants(L_g=1.0, L_J=1.0, sigma=0.0, f_low=0.0, kappa_g=0.1,
+                                 kappa_c=0.0, kappa_f=0.01, kappa_J=0.01)
+    problem = ConstrainedProblem(
+        n=p2.n, q=p2.q, constraints=p2.constraints, oracle=p2.oracle,
+        constants=constants, true_objective=p2.true_objective, x_init=p2.x_init,
+    )
+    config = PenaltyConfig(epsilon=0.9, xi=0.9, tau=10.0, max_outer=6)
+    stopped = run_penalty(problem, config, RandomStream(0))
+    assert 21.0 < stopped.bound.rho_bar < 31.0
+    assert [rec.rho for rec in stopped.records] == [11.0, 21.0, 31.0]
+    assert stopped.crossed_rho_bar
+    no_stop = PenaltyConfig(epsilon=0.9, xi=0.9, tau=10.0, max_outer=6, early_stop=False)
+    full = run_penalty(problem, no_stop, RandomStream(0))
+    assert len(full.records) == 5 and full.crossed_rho_bar
+    assert full.records[:3] == stopped.records
+
+
 def test_run_penalty_deterministic():
     problem = build_problem(TestProblemSpec("P2", sigma=0.1))
     config = PenaltyConfig(epsilon=0.4, max_outer=3)
@@ -320,56 +340,3 @@ def test_certificate_verdict_logic():
         0.25, mean_estimate([0.01, 0.01, 0.01]), mean_estimate([0.6, 0.61, 0.59]),
         np.zeros(1), 3)
     assert not bad_theta.verdict
-
-
-def test_certify_exact_solution():
-    problem = build_problem(TestProblemSpec("P2", sigma=0.1))
-    sol = problem.known_solution
-    cert = certify(problem, sol.x_star, sol.lambda_star, 0.1, 50, RandomStream(0))
-    assert cert.crit_sq.mean < 1e-16
-    assert cert.theta.mean < 1e-12
-    assert cert.verdict
-    off = certify(problem, sol.x_star + 2.0, sol.lambda_star, 0.1, 50, RandomStream(0))
-    assert not off.verdict
-
-
-def test_certify_monotone_in_epsilon():
-    problem = build_problem(TestProblemSpec("P2", sigma=0.1))
-    x = np.array([0.45, 0.52])
-    lam = np.array([0.5])
-    loose = certify(problem, x, lam, 0.9, 40, RandomStream(1))
-    tight = certify(problem, x, lam, 1e-6, 40, RandomStream(1))
-    assert loose.verdict and not tight.verdict
-
-
-def test_certify_stochastic_path():
-    base = build_problem(TestProblemSpec("P2", sigma=0.2))
-    blind = ConstrainedProblem(
-        n=base.n, q=base.q, constraints=base.constraints, oracle=base.oracle,
-        constants=base.constants, true_objective=None,
-    )
-    sol = base.known_solution
-    cert = certify(blind, sol.x_star, sol.lambda_star, 0.1, 40, RandomStream(3))
-    # the exact residual is zero; the batch estimate carries only noise bias,
-    # which the batch sizing keeps below epsilon/20
-    assert cert.crit_sq.mean <= 0.1 / 20.0 + 3.0 * cert.crit_sq.stderr
-    assert cert.verdict
-
-
-def test_certify_requires_gradient_or_exact():
-    value_only = ConstrainedProblem(
-        n=1, q=1,
-        constraints=lambda x: (np.zeros(1), np.ones((1, 1))),
-        oracle=GaussianOracle(value=lambda x: 0.0),
-    )
-    from spen import CertificationError
-
-    with pytest.raises(CertificationError):
-        certify(value_only, np.zeros(1), np.zeros(1), 0.1, 30, RandomStream(0))
-
-
-def test_certify_replication_floor():
-    problem = build_problem(TestProblemSpec("P2", sigma=0.1))
-    sol = problem.known_solution
-    with pytest.raises(ConfigError):
-        certify(problem, sol.x_star, sol.lambda_star, 0.1, 29, RandomStream(0))

@@ -11,9 +11,13 @@ from spen import (
     DomainError,
     GaussianOracle,
     OracleKindError,
+    PenaltyConfig,
     ProblemConstants,
     RandomStream,
+    TestProblemSpec,
+    build_problem,
     eval_constraints,
+    run_penalty,
 )
 
 
@@ -206,6 +210,24 @@ def test_start_point_defaults_to_the_origin():
     prob = _quad_problem()
     assert prob.x_init.dtype == np.float64
     assert np.array_equal(prob.x_init, np.zeros(2))
+
+
+def test_problem_arrays_are_read_only_copies():
+    prob = build_problem(TestProblemSpec("P2", sigma=0.1))
+    config = PenaltyConfig(epsilon=0.9, max_outer=2)
+    before = run_penalty(prob, config, RandomStream(4)).records[0]
+    with pytest.raises(ValueError):
+        prob.x_init[0] = 9.0
+    with pytest.raises(ValueError):
+        prob.box[1][0] = -5.0
+    assert run_penalty(prob, config, RandomStream(4)).records[0] == before
+    assert not _quad_problem().x_init.flags.writeable
+    # the caller's own arrays are copied, not frozen
+    start, lo, hi = np.ones(2), -np.ones(2), np.ones(2)
+    copied = dataclasses.replace(_quad_problem(), x_init=start, box=(lo, hi))
+    start[0] = lo[0] = hi[0] = 7.0
+    assert np.array_equal(copied.x_init, np.ones(2))
+    assert np.array_equal(copied.box[0], -np.ones(2)) and np.array_equal(copied.box[1], np.ones(2))
 
 
 def test_constants_are_frozen():
