@@ -1,14 +1,23 @@
 """Built-in test problem families, Monte-Carlo estimation, replication
-studies of the penalty method (assembled in replication order, whatever
-the execution order), complexity-slope measurement, and CSV persistence
-of run records."""
+studies of the penalty method, complexity-slope measurement, and CSV
+persistence of run records.
+
+:func:`monte_carlo` is the one replication runner: :func:`run_study`, and
+through it ``spen certify`` and ``spen sweep``, run their replications with
+it.  It runs them in forked worker processes, one per usable CPU, and
+assembles every result in replication order, so the output has the same
+bits as a run in one process.  Side effects of a replication that runs in
+a worker, such as writes to the caller's objects, stay in the worker and
+are not visible to the caller.
+"""
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -78,13 +87,15 @@ class MonteCarloResult:
     ``estimates`` maps each tracked quantity to its expectation estimate
     over the successful replications; ``failures`` lists
     ``(replication, message)`` pairs; ``partial`` is set when more than 5%
-    of replications failed.
+    of replications failed; ``values`` maps each successful replication id,
+    in ascending order, to what its run returned.
     """
 
     estimates: dict[str, ExpectationEstimate]
     failures: list[tuple[int, str]]
     partial: bool
     reps: int
+    values: dict[int, Any]
 
 
 @dataclass(frozen=True)
@@ -369,56 +380,132 @@ def build_problem(spec: TestProblemSpec) -> ConstrainedProblem:
     return problem
 
 
+# The ``(run_fn, stream, track)`` of the study a forked worker serves, set by
+# the pool's initializer: None in every process that is not a worker.
+_worker_study: tuple | None = None
+
+
+def _init_worker(*study: Any) -> None:
+    global _worker_study
+    _worker_study = study
+
+
+def _run_replication(
+    run_fn: Callable[[int, RandomStream], Any],
+    stream: RandomStream,
+    track: Callable[[Any], Mapping[str, float]],
+    rep: int,
+) -> tuple[Any, dict[str, float] | None, str | None]:
+    """Replication ``rep`` as ``(value, tracked, None)``, or as
+    ``(None, None, message)`` when it fails."""
+    try:
+        value = run_fn(rep, stream.child(rep))
+        return value, dict(track(value)), None
+    except (SpenError, ValueError, ArithmeticError) as err:
+        return None, None, f"{type(err).__name__}: {err}"
+
+
+def _run_in_worker(rep: int) -> tuple[Any, dict[str, float] | None, str | None]:
+    return _run_replication(*_worker_study, rep)
+
+
+def _worker_count(reps: int) -> int:
+    """Processes to run ``reps`` replications on: one per usable CPU, at most
+    ``reps``.  1 (run in this process) where fork or the CPU affinity mask
+    is unavailable, and inside a worker, which starts no pool of its own."""
+    if _worker_study is not None or not all(
+        hasattr(os, name) for name in ("fork", "sched_getaffinity")
+    ):
+        return 1
+    return min(len(os.sched_getaffinity(0)), reps)
+
+
 def monte_carlo(
-    run_fn: Callable[[int, RandomStream], Mapping[str, float]],
+    run_fn: Callable[[int, RandomStream], Any],
     reps: int,
     stream: RandomStream,
     order: list[int] | None = None,
+    track: Callable[[Any], Mapping[str, float]] = dict,
 ) -> MonteCarloResult:
     """Replicated expectation estimation on independent substreams.
 
-    ``run_fn(rep, stream.child(rep))`` must return a mapping from tracked
-    quantity names to scalars.  Replications execute in ``order`` (default
-    ascending), but aggregation always iterates replication ids in
-    ascending order, so the estimates are bit-identical under any
-    execution order.  Failed replications are recorded with the error's
-    type and message and skipped; the result is flagged partial when more
-    than 5% fail.  A failure is a ``SpenError`` or a numeric error: a
+    Replication ``rep`` runs ``run_fn(rep, stream.child(rep))``, and
+    ``track`` maps what it returns to the tracked quantities, a mapping
+    from names to scalars (by default the return value is that mapping).
+    Replications are submitted in ``order`` (default ascending) to forked
+    worker processes, one per usable CPU, which take the next replication
+    as they finish one.  With one usable CPU, where fork is unavailable, or
+    inside a worker, they run in this process in ``order``.  Aggregation
+    always iterates replication ids in ascending order, so the estimates
+    are bit-identical under any execution order and any number of workers.
+    What ``run_fn`` returns must pickle, and its side effects must not be
+    relied on: in a worker they do not reach the caller.  Failed
+    replications are recorded with the error's type and message and
+    skipped; the result is flagged partial when more than 5% fail.  A
+    failure is a ``SpenError`` or a numeric error: a
     ``ValueError`` (which covers ``LinAlgError`` and math domain errors such
     as ``math.sqrt(-1)`` in a user oracle) or an ``ArithmeticError``.
-    Programming errors such as ``TypeError`` propagate.
+    Programming errors such as ``TypeError`` propagate.  Every worker has
+    exited when the call returns or raises.
     """
     if reps < 30:
         raise ConfigError(f"replication study needs reps >= 30, got {reps}")
     schedule = list(range(reps)) if order is None else list(order)
     if sorted(schedule) != list(range(reps)):
         raise ConfigError("execution order must be a permutation of range(reps)")
-    outcomes: dict[int, Mapping[str, float]] = {}
+    workers = _worker_count(reps)
+    if workers == 1:
+        outcomes = [_run_replication(run_fn, stream, track, rep) for rep in schedule]
+    else:
+        # imported here: a caller that never runs a study does not pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: the workers inherit run_fn and the problem it
+        # closes over, which need not pickle (lambdas, closures)
+        with ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(run_fn, stream, track),
+        ) as pool:
+            outcomes = list(pool.map(_run_in_worker, schedule, chunksize=1))
+    values: dict[int, Any] = {}
+    tracked: dict[int, dict[str, float]] = {}
     failures: list[tuple[int, str]] = []
-    for rep in schedule:
-        try:
-            outcomes[rep] = dict(run_fn(rep, stream.child(rep)))
-        except (SpenError, ValueError, ArithmeticError) as err:
-            failures.append((rep, f"{type(err).__name__}: {err}"))
+    for rep, (value, scalars, message) in zip(schedule, outcomes):
+        if message is None:
+            values[rep], tracked[rep] = value, scalars
+        else:
+            failures.append((rep, message))
     failures.sort(key=lambda pair: pair[0])
-    if not outcomes:
+    if not tracked:
         raise ConfigError(f"all {reps} replications failed; first: {failures[0][1]}")
-    done = sorted(outcomes)
-    first_keys = sorted(outcomes[done[0]])
+    done = sorted(tracked)
+    first_keys = sorted(tracked[done[0]])
     for rep in done:
-        if sorted(outcomes[rep]) != first_keys:
+        if sorted(tracked[rep]) != first_keys:
             raise ConfigError(
-                f"replication {rep} tracked {sorted(outcomes[rep])}, expected {first_keys}"
+                f"replication {rep} tracked {sorted(tracked[rep])}, expected {first_keys}"
             )
     estimates = {
-        key: mean_estimate(np.asarray([outcomes[rep][key] for rep in done])) for key in first_keys
+        key: mean_estimate(np.asarray([tracked[rep][key] for rep in done])) for key in first_keys
     }
     return MonteCarloResult(
         estimates=estimates,
         failures=failures,
         partial=len(failures) > 0.05 * reps,
         reps=reps,
+        values={rep: values[rep] for rep in done},
     )
+
+
+def _study_scalars(result: PenaltyRunResult) -> dict[str, float]:
+    return {
+        "crit_sq": result.certificate.crit_sq.mean,
+        "theta": result.certificate.theta.mean,
+        "oracle_calls": float(result.state.oracle_calls),
+    }
 
 
 def run_study(
@@ -428,23 +515,17 @@ def run_study(
     for each ``rep < reps`` through :func:`monte_carlo`.  Records and the
     multiplier mean are assembled in ascending replication id, like the
     estimates, so the result has the same bits under any execution order."""
-    runs: dict[int, PenaltyRunResult] = {}
 
-    def run_fn(rep: int, rep_stream: RandomStream) -> dict[str, float]:
-        result = runs[rep] = run_penalty(problem, config, rep_stream, replication=rep)
-        return {
-            "crit_sq": result.certificate.crit_sq.mean,
-            "theta": result.certificate.theta.mean,
-            "oracle_calls": float(result.state.oracle_calls),
-        }
+    def run_fn(rep: int, rep_stream: RandomStream) -> PenaltyRunResult:
+        return run_penalty(problem, config, rep_stream, replication=rep)
 
-    mc = monte_carlo(run_fn, reps, stream)
-    done = sorted(runs)
-    lam_mean = np.mean(np.stack([runs[rep].certificate.lam for rep in done]), axis=0)
+    mc = monte_carlo(run_fn, reps, stream, track=_study_scalars)
+    runs = list(mc.values.values())
+    lam_mean = np.mean(np.stack([run.certificate.lam for run in runs]), axis=0)
     certificate = certificate_from_estimates(
         config.epsilon, mc.estimates["crit_sq"], mc.estimates["theta"], lam_mean, reps
     )
-    return StudyResult(certificate, mc, [r for rep in done for r in runs[rep].records])
+    return StudyResult(certificate, mc, [r for run in runs for r in run.records])
 
 
 def slope_fit(points: list[tuple[float, float]]) -> SlopeFit:

@@ -116,7 +116,9 @@ def _secular_root(w: np.ndarray, beta: np.ndarray, radius: float) -> float:
         if abs(f) <= 1e-15 / radius:
             break
         nu_new = 0.5 * (lo + hi)
-        if nu > 1e-100:  # below, nu**3 underflows: bisect
+        # below 1e-100 nu**3 underflows, and above 1e100 denom**3 can
+        # overflow (huge weights): bisect
+        if nu > 1e-100 and denom.max() < 1e100:
             fp = float(np.sum(beta**2 / denom**3)) / (lam_norm_sq * lam_norm)
             step = nu - f / fp
             if lo < step < hi:

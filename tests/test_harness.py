@@ -1,6 +1,10 @@
 """Tests for problem families, replication harness, slope fits, and CSV I/O."""
 
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ import spen.cli
 from spen import harness
 from spen import (
     ConfigError,
+    PenaltyConfig,
     RandomStream,
     RunRecord,
     SpenError,
@@ -152,7 +157,7 @@ def test_monte_carlo_estimates_gaussian_mean():
     assert 0.03 <= est.stderr <= 0.08
 
 
-def test_monte_carlo_order_invariance():
+def test_monte_carlo_order_invariance(monkeypatch):
     def run(rep, stream):
         return {"v": float(stream.generator().standard_normal())}
 
@@ -161,6 +166,10 @@ def test_monte_carlo_order_invariance():
     perm = list(rng.permutation(50))
     shuffled = monte_carlo(run, 50, RandomStream(2), order=perm)
     assert forward.estimates["v"] == shuffled.estimates["v"]
+    monkeypatch.setattr(harness, "_worker_count", lambda reps: 1)
+    in_process = monte_carlo(run, 50, RandomStream(2), order=perm)
+    assert in_process.estimates == shuffled.estimates
+    assert list(in_process.values) == list(shuffled.values) == list(range(50))
 
 
 def test_run_study_is_independent_of_execution_order(tmp_path, monkeypatch, capsys):
@@ -190,14 +199,18 @@ def test_run_study_is_independent_of_execution_order(tmp_path, monkeypatch, caps
         return out.read_bytes(), [ln for ln in lines if not ln.startswith(("elapsed", "records"))]
 
     monkeypatch.setattr(spen.cli, "run_study", capturing_study)
-    monkeypatch.setattr(harness, "run_penalty", capturing_penalty)
     forward_csv, forward_out = run_certify("forward")
-    monkeypatch.setattr(harness, "monte_carlo", lambda fn, reps, stream: monte_carlo(
-        fn, reps, stream, order=list(reversed(range(reps)))))
+    # the reversed leg runs in this process, where execution order is exact
+    # and the multipliers captured on the way are visible
+    monkeypatch.setattr(harness, "_worker_count", lambda reps: 1)
+    monkeypatch.setattr(harness, "run_penalty", capturing_penalty)
+    monkeypatch.setattr(harness, "monte_carlo", lambda fn, reps, stream, **kw: monte_carlo(
+        fn, reps, stream, order=list(reversed(range(reps))), **kw))
     backward_csv, backward_out = run_certify("backward")
 
     forward, backward = studies
-    in_execution_order = np.mean(np.stack(executed_lams[30:]), axis=0)
+    assert len(executed_lams) == 30
+    in_execution_order = np.mean(np.stack(executed_lams), axis=0)
     assert in_execution_order.tobytes() != backward.certificate.lam.tobytes()
     assert forward.records == backward.records
     assert forward.certificate.lam.tobytes() == backward.certificate.lam.tobytes()
@@ -246,6 +259,57 @@ def test_monte_carlo_propagates_programming_errors():
 
     with pytest.raises(TypeError):
         monte_carlo(run, 30, RandomStream(5))
+    assert multiprocessing.active_children() == []
+
+
+def test_study_in_workers_matches_in_process(monkeypatch):
+    # replication 7 fails inside its worker; the patched run_penalty reaches
+    # the workers because they are forked after the patch
+    problem = build_problem(TestProblemSpec("P2", sigma=0.1))
+    config = PenaltyConfig(epsilon=0.4, max_outer=5)
+    run_penalty = harness.run_penalty
+
+    def failing_at_7(problem, config, stream, replication=0):
+        if replication == 7:
+            raise SpenError("synthetic failure in replication 7")
+        return run_penalty(problem, config, stream, replication=replication)
+
+    monkeypatch.setattr(harness, "run_penalty", failing_at_7)
+    pooled = harness.run_study(problem, config, 30, RandomStream(19))
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(harness, "_worker_count", lambda reps: 1)
+    local = harness.run_study(problem, config, 30, RandomStream(19))
+    assert pooled.mc.failures == local.mc.failures == [
+        (7, "SpenError: synthetic failure in replication 7")
+    ]
+    assert pooled.records == local.records
+    assert pooled.certificate.lam.tobytes() == local.certificate.lam.tobytes()
+    assert pooled.mc.estimates == local.mc.estimates
+
+
+@pytest.mark.skipif(harness._worker_count(30) < 2, reason="needs two usable CPUs")
+def test_monte_carlo_runs_replications_in_workers():
+    def run(rep, stream):
+        # a worker runs any study of its own in its own process
+        return {"pid": float(os.getpid()), "workers": float(harness._worker_count(30))}
+
+    res = monte_carlo(run, 30, RandomStream(0))
+    pids = {value["pid"] for value in res.values.values()}
+    assert float(os.getpid()) not in pids
+    assert res.estimates["workers"].mean == 1.0
+    assert 1 <= len(pids) <= harness._worker_count(30)
+    assert multiprocessing.active_children() == []
+
+
+def test_import_loads_no_process_machinery():
+    # the pool's modules are imported when a study runs, so start-up does
+    # not pay for them
+    src = os.path.dirname(os.path.dirname(spen.cli.__file__))
+    code = ("import sys, spen, spen.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_monte_carlo_validation():

@@ -542,6 +542,16 @@ def test_phi_gradient_nearly_in_row_space():
             assert abs(r.measure - eps) <= 1e-14
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_phi_tiny_gradient_does_not_overflow():
+    # the secular weights sv^2/mu reach ~1e195 here, so a Newton step's
+    # (w + nu)**3 overflowed; g ~ 0 leaves theta's measure:
+    # rho*(||c|| - min_t ||(t, 1 + t)||) = 1 - sqrt(1/2)
+    r = phi(1.6e-195 * np.ones(2), np.array([0.0, 1.0]), np.array([[0.0, 1.0], [0.0, 1.0]]), 1.0)
+    assert r.gap <= 1e-8
+    assert abs(r.measure - (1.0 - np.sqrt(0.5))) <= 1e-15
+
+
 def test_phi_matches_iterative_reference():
     # the iterative solvers this exact solve replaced: golden section for
     # q = 1 and a primal-dual loop for q >= 2
