@@ -36,4 +36,10 @@ class SteeringError(SpenError):
 
 
 class BudgetExceeded(SpenError):
-    """A solver run would consume more oracle calls than its budget allows."""
+    """A solver run's budget asks for more than the machine can hold.
+
+    Raised before a zeroth-order round draws anything when the random
+    draws it keeps in flight (about three ``(m, n)`` batches of directions
+    with their value noise) would exceed physical memory; the message names
+    the outer round, ``rho``, ``m``, ``n`` and the bytes needed.
+    """

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SteeringError, SubsolverError
+from .errors import BudgetExceeded, ConfigError, SteeringError, SubsolverError
 from .problems import ConstrainedProblem, ProblemConstants, RandomStream, eval_constraints
 # batch_gradient is unused here; test_installed_rebinds_every_namespace_and_restores reads it
 from .sfo import SolverBudget, batch_gradient, sfo_budget, solve_nsco_sfo  # noqa: F401
@@ -470,7 +470,10 @@ def run_penalty(
             d1_tilde=config.d1_tilde,
             d2_tilde=config.d2_tilde,
         )
-        res = solver(problem, state.rho, state.x, budget, stream.child(k))
+        try:
+            res = solver(problem, state.rho, state.x, budget, stream.child(k))
+        except BudgetExceeded as err:
+            raise BudgetExceeded(f"outer round {k}: {err}") from None
         state.k = k
         state.x = res.x_R
         state.G = res.G_R

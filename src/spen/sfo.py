@@ -14,8 +14,9 @@ gradient at the returned iterate at most ``epsilon``.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ContextManager
 
 import numpy as np
 
@@ -191,6 +192,7 @@ def _solve_inner(
     stop_index: int | None,
     estimate: Callable[[np.ndarray, np.random.Generator], np.ndarray],
     calls_per_batch: int,
+    draws: Callable[[np.random.Generator, int], ContextManager] | None = None,
 ) -> NscoRunResult:
     """Inner loop shared by the first- and zeroth-order solvers.
 
@@ -200,6 +202,8 @@ def _solve_inner(
     draw on ``1..N`` from ``stream.child(0)``.  Every batch of the run comes,
     in order, from one generator on ``stream.child(1)``; a run with
     ``stop_index=R`` therefore repeats the random-``R`` run bit for bit.
+    ``draws(generator, R)``, if given, is a context manager that the loop
+    runs in; what it yields stands in for the generator in ``estimate``.
     """
     if rho < 0.0:
         raise ConfigError(f"penalty parameter must be >= 0, got {rho}")
@@ -213,15 +217,16 @@ def _solve_inner(
     rng = stream.child(1).generator()
     gamma = budget.gamma
     x = np.asarray(x_init, dtype=float).copy()
-    # iteration k estimates G_k at x_k; the last one is G_R at the returned x_R
-    for k in range(1, r_stop + 1):
-        grad_est = estimate(x, rng)
-        if not np.isfinite(grad_est).all():
-            raise DomainError(f"batch gradient estimate is non-finite at inner iteration {k}")
-        if k == r_stop:
-            break
-        c, jac = eval_constraints(problem, x)
-        x = prox_step(x, grad_est, c, jac, rho, gamma).x_plus
+    with nullcontext(rng) if draws is None else draws(rng, r_stop) as rng:
+        # iteration k estimates G_k at x_k; the last one is G_R at the returned x_R
+        for k in range(1, r_stop + 1):
+            grad_est = estimate(x, rng)
+            if not np.isfinite(grad_est).all():
+                raise DomainError(f"batch gradient estimate is non-finite at inner iteration {k}")
+            if k == r_stop:
+                break
+            c, jac = eval_constraints(problem, x)
+            x = prox_step(x, grad_est, c, jac, rho, gamma).x_plus
     return NscoRunResult(
         x_R=x,
         G_R=grad_est,

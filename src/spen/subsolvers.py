@@ -278,11 +278,22 @@ def prox_step(
         lam = np.array([lam0])
     else:
         # in the eigenbasis of gamma*J J' the dual is a ball quadratic
+        # ndarray.dot: the bits of @ at about half its dispatch cost
         w, q_mat = _prox_eigenbasis(jac, gamma)
-        lam = q_mat @ _ball_point(w, q_mat.T @ (c - gamma * (jac @ g)), rho)[0]
-        p_gamma = g + jac.T @ lam
+        lam = q_mat.dot(_ball_point(w, q_mat.T.dot(c - gamma * jac.dot(g)), rho)[0])
+        if rho > 0.0:
+            # rotating y rounds each entry; for a subnormal rho that grid is
+            # coarse enough to leave lam well outside the ball.  ||lam/rho||,
+            # unlike ||lam||, does not underflow there.  Scaling rounds to the
+            # same grid, so each entry then steps one ulp toward zero, below
+            # its exact scaled value: (5e-324, 5e-324) at rho = 5e-324 has no
+            # nearer point in the ball than 0
+            ratio = _norm(lam / rho)
+            if ratio > 1.0 + 1e-14:
+                lam = np.nextafter(lam / ratio, 0.0)
+        p_gamma = g + jac.T.dot(lam)
         d = -gamma * p_gamma
-        t = c + jac @ d
+        t = c + jac.dot(d)
         gap = max(rho * _norm(t) - float(lam.dot(t)), 0.0)
     _check_gap("prox", gap, DEFAULT_PROX_TOL)
     return ProxResult(np.asarray(x, dtype=float) + d, d, lam, p_gamma, gap)

@@ -6,16 +6,29 @@ estimated by two-point differences ``(F(x + mu*v, xi) - F(x, xi))/mu * v``
 with both evaluations sharing one noise realization.  The inner loop and
 stopping law are the first-order solver's; budgets additionally pick the
 smoothing radius ``mu`` from the oracle-call allowance.
+
+The solver draws its standard normals one batch ahead on a helper thread:
+while iteration k evaluates values and takes its prox step, the thread
+draws iteration k+1's directions ``(m, n)`` and then its value noise
+``(m,)`` from the run's one generator, in the order the loop would draw
+them itself, so every bit is unchanged.  numpy fills a large draw without
+holding the interpreter lock, so on two or more cores the draws overlap
+the rest of the iteration; a process that may use only one CPU draws in
+the calling thread, with the same bits.  Up to three batches are alive at
+once (one in use, one waiting, one being drawn), so a round needs about
+``3 * 8 * m * (n + 1)`` bytes for its draws; a round whose draws would not
+fit in physical memory raises ``BudgetExceeded`` before it draws anything.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import BudgetExceeded, ConfigError
 from .problems import ConstrainedProblem, RandomStream
 from .sfo import NscoRunResult, SolverBudget, _solve_inner
 from .stats import ExpectationEstimate, mean_estimate
@@ -151,14 +164,129 @@ def solve_nsco_szo(
     The first-order solver's loop with the batch gradient replaced by the
     two-point smoothed estimator; one draw costs 2 value calls, so
     consumption is exactly ``2 * m * R``.  ``stop_index`` overrides the
-    random draw for diagnostic runs.  Raises ``ConfigError`` when the
-    budget has no smoothing radius and ``DomainError`` when a batch
-    estimate is non-finite.
+    random draw for diagnostic runs.  The standard normals are drawn one
+    batch ahead on a helper thread where a second CPU is usable, with the
+    bits of drawing them in order; the oracle must draw as
+    ``GaussianOracle.value_pair_batch`` does, or the run raises
+    ``RuntimeError``.  Raises ``ConfigError`` when the budget has no
+    smoothing radius, ``BudgetExceeded`` when the draws in flight would not
+    fit in physical memory, and ``DomainError`` when a batch estimate is
+    non-finite.
     """
     if budget.mu is None:
         raise ConfigError("zeroth-order runs need a budget with a smoothing radius")
     src, m, mu = problem.oracle, budget.m, budget.mu
+    _check_draw_memory(rho, m, problem.n)
+    # each iteration draws its directions, then (with noise) its shared value noise
+    sizes = ((m, problem.n), (m,)) if src.sigma > 0.0 else ((m, problem.n),)
     return _solve_inner(
         problem, rho, x_init, budget, stream, stop_index,
         lambda x, rng: _two_point_mean(src, x, mu, m, rng), 2 * m,
+        draws=lambda rng, batches: _BatchDraws(rng, sizes, batches, _spare_cpu()),
     )
+
+
+def _spare_cpu() -> bool:
+    """Whether this process may run on two or more CPUs, so a draw thread
+    has one to itself.  On one CPU it would only take turns with the caller
+    (about 5 % slower on P2); where the affinity mask is not available, the
+    CPU count decides."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+# batches alive at once: the caller's, the one waiting, the one being drawn
+_BATCHES_IN_FLIGHT = 3
+
+
+def _check_draw_memory(rho: float, m: int, n: int) -> None:
+    """Raise ``BudgetExceeded`` when the run's draws in flight, directions
+    and value noise of ``_BATCHES_IN_FLIGHT`` batches, exceed physical
+    memory.  Skipped where the platform does not report that memory."""
+    need = _BATCHES_IN_FLIGHT * 8 * m * (n + 1)
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > physical:
+        raise BudgetExceeded(
+            f"zeroth-order draws at rho={rho:.6g} with m={m}, n={n} need {need} bytes "
+            f"in flight, more than the {physical} bytes of physical memory"
+        )
+
+
+class _BatchDraws:
+    """Generator stand-in for one zeroth-order run, used as a context manager.
+
+    The run draws ``batches`` batches from ``rng``, each one array per entry
+    of ``sizes`` in that order.  ``standard_normal(size)`` returns the next
+    array, and raises ``RuntimeError`` if ``size`` is not the next size of
+    that pattern, as does leaving the context in the middle of a batch, so a
+    changed draw pattern fails instead of moving bits, on any number of
+    CPUs.  With ``ahead``, a helper thread draws the batches at most one
+    batch ahead of the caller (one more waits in a queue of one); an error
+    in the thread is raised, as the same object, by the call that would have
+    received the batch, and leaving the context stops and joins the thread,
+    so none outlives the run.  Without, each array is drawn in the calling
+    thread when it is asked for, as the generator itself would.
+    """
+
+    def __init__(self, rng: np.random.Generator, sizes: tuple, batches: int, ahead: bool):
+        self._rng, self._sizes = rng, sizes
+        self._at = 0  # index in ``sizes`` of the next draw
+        self._batch: list = []
+        self._thread = None
+        if ahead:
+            # imported here: a program that never runs a zeroth-order solve
+            # on two CPUs does not load the queue module
+            import queue
+            import threading
+
+            self._ready: queue.Queue = queue.Queue(maxsize=1)
+            self._stop = threading.Event()
+            self._thread = threading.Thread(
+                target=self._fill, args=(batches,), name="spen-szo-draws", daemon=True
+            )
+
+    def _fill(self, batches: int) -> None:
+        # only the generator runs here: spen code and its callers' hooks stay
+        # on the caller's thread
+        try:
+            for _ in range(batches):
+                if self._stop.is_set():
+                    return
+                # reversed, so that pop() hands the arrays out in drawing order
+                self._ready.put([self._rng.standard_normal(size) for size in self._sizes][::-1])
+        except BaseException as err:
+            self._ready.put(err)
+
+    def standard_normal(self, size) -> np.ndarray:
+        want = self._sizes[self._at]
+        if (size if isinstance(size, tuple) else (size,)) != want:
+            raise RuntimeError(f"draw of size {size} where the run draws {want}")
+        self._at = (self._at + 1) % len(self._sizes)
+        if self._thread is None:
+            return self._rng.standard_normal(want)
+        if not self._batch:
+            item = self._ready.get()
+            if isinstance(item, BaseException):
+                raise item
+            self._batch = item
+        return self._batch.pop()
+
+    def __enter__(self) -> "_BatchDraws":
+        if self._thread is not None:
+            self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._thread is not None:
+            self._stop.set()
+            # with the stop set, the thread puts at most once more; emptying
+            # the queue once (only the thread fills it) lets that put through
+            if not self._ready.empty():
+                self._ready.get()
+            self._thread.join()
+        if exc[0] is None and self._at:
+            raise RuntimeError(f"the run ended {len(self._sizes) - self._at} draws short of a batch")

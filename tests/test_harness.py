@@ -302,11 +302,11 @@ def test_monte_carlo_runs_replications_in_workers():
 
 
 def test_import_loads_no_process_machinery():
-    # the pool's modules are imported when a study runs, so start-up does
-    # not pay for them
+    # the pool's modules are imported when a study runs, and the zeroth-order
+    # draw-ahead's queue when it first starts, so start-up does not pay for them
     src = os.path.dirname(os.path.dirname(spen.cli.__file__))
     code = ("import sys, spen, spen.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'queue')))")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """Tests for the penalty outer loop: steering, budgets, bounds, certification."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from spen import subsolvers
 from spen import (
     DEFAULT_MEASURE_TOL,
+    BudgetExceeded,
     ConfigError,
     ConstrainedProblem,
     GaussianOracle,
@@ -313,6 +315,23 @@ def test_run_penalty_factorizes_each_jacobian_once(monkeypatch):
                                         n=problem.n).gamma for rec in result.records}
     assert len(result.records) == 4 and result.state.oracle_calls > 1000
     assert counts == {"eigh": len(gammas), "svd": 1}
+
+
+def test_run_penalty_refuses_szo_draws_beyond_physical_memory():
+    # ROSEN-EQ's first zeroth-order round at eps = 0.1 has m ~ 2.8e10 value
+    # pairs: its batches in flight would take terabytes.  The round raises
+    # before it draws anything, rather than running out of memory
+    problem = build_problem(TestProblemSpec("ROSEN-EQ", sigma=0.1))
+    config = PenaltyConfig(epsilon=0.1, oracle_mode="szo")
+    m = subproblem_budget_for_rho(2.0, 0.1, problem.constants, "szo", n=problem.n).m
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as err:
+        run_penalty(problem, config, RandomStream(0))
+    assert time.perf_counter() - start < 1.0
+    message = str(err.value)
+    assert m > 2e10
+    for part in ("outer round 1", "rho=2", f"m={m}", "n=2", f"{3 * 8 * m * 3} bytes"):
+        assert part in message
 
 
 def test_run_penalty_without_exact_objective_uses_surrogate():

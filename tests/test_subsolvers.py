@@ -215,9 +215,22 @@ _TINY_RADII = st.one_of(
 def test_prox_q2_certificate_properties(instance):
     g, c, jac, rho, gamma = instance
     pr = prox_step(np.zeros(g.size), g, c, jac, rho, gamma)
-    assert np.linalg.norm(pr.lam) <= rho * (1.0 + 1e-14)
+    # ||lam/rho||: for a subnormal rho the squares in ||lam|| underflow to 0
+    if rho > 0.0:
+        assert np.linalg.norm(pr.lam / rho) <= 1.0 + 1e-14
+    else:
+        assert not pr.lam.any()
     assert np.linalg.norm(g + jac.T @ pr.lam + pr.d / gamma) < 1e-10
     assert 0.0 <= pr.gap <= DEFAULT_PROX_TOL
+
+
+def test_prox_q2_subnormal_rho_keeps_dual_in_ball():
+    # rotating the dual back from the eigenbasis rounds each entry to the
+    # subnormal grid: unscaled, lam came out as (1e-323, 0), twice rho
+    jac = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+    pr = prox_step(np.zeros(3), np.array([0.3, -0.2, 0.1]), np.array([1.0, 0.5]), jac, 5e-324, 1.0)
+    assert np.abs(pr.lam).max() <= 5e-324
+    assert np.linalg.norm(pr.lam / 5e-324) <= 1.0 + 1e-14
 
 
 def test_dual_ball_quadratic_stays_in_ball():

@@ -1,6 +1,8 @@
 """Tests for Gaussian-smoothing estimators and the zeroth-order solver."""
 
 import math
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +24,7 @@ from spen import (
     szo_budget,
     szo_gradient_batch,
 )
+from spen import szo
 from spen.problems import eval_constraints
 
 
@@ -274,3 +277,164 @@ def test_szo_solver_progress_on_quadratic():
     f0 = 0.5 * float(np.array([3.0, -2.0]) @ np.array([3.0, -2.0]))
     fR = 0.5 * float(res.x_R @ res.x_R)
     assert fR < 0.05 * f0
+
+
+def _draw_ahead_problem(value, sigma=0.1, oracle_cls=GaussianOracle):
+    return ConstrainedProblem(
+        n=2,
+        q=1,
+        constraints=lambda x: (np.zeros(1), np.zeros((1, 2))),
+        oracle=oracle_cls(value=value, sigma=sigma),
+    )
+
+
+def _helper_alive():
+    return any(t.name == "spen-szo-draws" for t in threading.enumerate())
+
+
+def _quad_value(xs):
+    return 0.5 * (np.asarray(xs) ** 2).sum(axis=-1)
+
+
+def _raised_by(fn):
+    """What ``fn()`` raises, run in a thread of its own: a draw thread left
+    blocked makes ``fn`` hang, which then fails the test instead of hanging it."""
+    raised = []
+
+    def run():
+        try:
+            fn()
+        except BaseException as err:  # handed to the test, which checks it
+            raised.append(err)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=30.0)
+    assert not runner.is_alive()
+    assert len(raised) == 1
+    return raised[0]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_szo_draw_ahead_keeps_the_bits_and_leaves_no_thread(monkeypatch, sigma):
+    # the helper thread draws each batch's directions and noise in the loop's
+    # own order, so the run has the bits of drawing in the calling thread
+    baseline = threading.active_count()
+    seen = []
+
+    def value(xs):
+        seen.append(_helper_alive())
+        return _quad_value(xs)
+
+    prob = _draw_ahead_problem(value, sigma)
+    budget = SolverBudget(n_bar=400, m=50, gamma=0.5, L=2.0, mu=0.05)
+    runs = {}
+    for spare in (True, False):
+        monkeypatch.setattr(szo, "_spare_cpu", lambda spare=spare: spare)
+        seen.clear()
+        runs[spare] = solve_nsco_szo(prob, 1.0, np.ones(2), budget, RandomStream(4), stop_index=6)
+        assert any(seen) == spare
+        assert threading.active_count() == baseline
+    assert np.array_equal(runs[True].x_R, runs[False].x_R)
+    assert np.array_equal(runs[True].G_R, runs[False].G_R)
+
+
+class _ScriptedGenerator:
+    """A generator whose ``standard_normal`` first calls ``hook(draw_number)``."""
+
+    def __init__(self, inner, hook):
+        self.inner, self.hook, self.draws = inner, hook, 0
+
+    def integers(self, *args, **kwargs):
+        return self.inner.integers(*args, **kwargs)
+
+    def standard_normal(self, size):
+        self.draws += 1
+        self.hook(self.draws)
+        return self.inner.standard_normal(size)
+
+
+def _script_generators(monkeypatch, hook):
+    plain = RandomStream.generator
+    monkeypatch.setattr(RandomStream, "generator",
+                        lambda self: _ScriptedGenerator(plain(self), hook))
+
+
+@pytest.mark.parametrize("helper", ["blocked on the full queue", "in the middle of a draw"])
+def test_szo_draw_ahead_stops_its_thread_on_a_domain_error(monkeypatch, helper):
+    monkeypatch.setattr(szo, "_spare_cpu", lambda: True)
+    baseline = threading.active_count()
+    blocked = helper == "blocked on the full queue"
+    # two draws per batch: from the fourth batch on, each draw is slow
+    _script_generators(monkeypatch, lambda draw: None if blocked or draw < 7 else time.sleep(0.2))
+    calls = []
+
+    def value(xs):
+        calls.append(_helper_alive())
+        if len(calls) > 4:
+            if blocked:
+                # let the helper run ahead until it blocks on the full queue
+                time.sleep(0.05)
+            return np.full(np.shape(xs)[0], np.inf)
+        return _quad_value(xs)
+
+    budget = SolverBudget(n_bar=40, m=4, gamma=0.5, L=2.0, mu=0.05)
+    err = _raised_by(lambda: solve_nsco_szo(
+        _draw_ahead_problem(value), 1.0, np.ones(2), budget, RandomStream(0), stop_index=8))
+    assert isinstance(err, DomainError) and "iteration 3" in str(err)
+    # the helper had later batches to draw when the run stopped
+    assert calls[-1]
+    assert threading.active_count() == baseline
+
+
+def test_szo_draw_ahead_raises_the_thread_error_in_the_caller(monkeypatch):
+    monkeypatch.setattr(szo, "_spare_cpu", lambda: True)
+    baseline = threading.active_count()
+    raised, where = MemoryError("no room for the batch"), []
+
+    def hook(draw):
+        # the third normal draw, iteration 2's directions, fails
+        if draw == 3:
+            where.append(threading.current_thread().name)
+            raise raised
+
+    _script_generators(monkeypatch, hook)
+    budget = SolverBudget(n_bar=40, m=4, gamma=0.5, L=2.0, mu=0.05)
+    err = _raised_by(lambda: solve_nsco_szo(
+        _draw_ahead_problem(_quad_value), 1.0, np.ones(2), budget, RandomStream(0),
+        stop_index=8))
+    assert err is raised
+    assert where == ["spen-szo-draws"]
+    assert threading.active_count() == baseline
+
+
+class _WiderNoise(GaussianOracle):
+    def value_pair_batch(self, xs_a, xs_b, rng):
+        rng.standard_normal(xs_a.shape[0] + 1)
+        return super().value_pair_batch(xs_a, xs_b, rng)
+
+
+class _NoNoiseDrawn(GaussianOracle):
+    def value_pair_batch(self, xs_a, xs_b, rng):
+        return self._value(xs_a), np.repeat(self._value(xs_b), xs_a.shape[0])
+
+
+@pytest.mark.parametrize("oracle_cls, stop_index, message", [
+    (_WiderNoise, 8, "where the run draws"),
+    # with one iteration the unused noise shows only when the run ends
+    (_NoNoiseDrawn, 1, "short of a batch"),
+])
+def test_szo_draw_ahead_rejects_a_changed_draw_pattern(monkeypatch, oracle_cls, stop_index,
+                                                       message):
+    # the draws are made in GaussianOracle's pattern; an oracle that draws
+    # otherwise would silently move bits, so the run fails instead, also
+    # where the calling thread draws
+    baseline = threading.active_count()
+    prob = _draw_ahead_problem(_quad_value, oracle_cls=oracle_cls)
+    budget = SolverBudget(n_bar=40, m=4, gamma=0.5, L=2.0, mu=0.05)
+    for spare in (True, False):
+        monkeypatch.setattr(szo, "_spare_cpu", lambda spare=spare: spare)
+        err = _raised_by(lambda: solve_nsco_szo(
+            prob, 1.0, np.ones(2), budget, RandomStream(0), stop_index=stop_index))
+        assert isinstance(err, RuntimeError) and message in str(err)
+        assert threading.active_count() == baseline
