@@ -142,7 +142,7 @@ def _cmd_sweep(config: RunConfig) -> int:
 
 def _validate_smoothing(problem: ConstrainedProblem, stream: RandomStream) -> str | None:
     """Gaussian-smoothing sandwich on the exact objective at random points."""
-    if problem.true_objective is None or not problem.oracle.has_value:
+    if problem.true_objective is None or problem.oracle.value is None:
         return None
     if problem.box is None:
         return None
@@ -152,12 +152,10 @@ def _validate_smoothing(problem: ConstrainedProblem, stream: RandomStream) -> st
         return None
     rng = stream.generator()
     mu = 0.01
-    # the built-in families hand the exact objective's vectorized value
-    # function to the oracle, so one call covers a whole batch of points
-    exact_batch = problem.oracle._value
     for trial in range(5):
         x = lo + (hi - lo) * rng.uniform(0.25, 0.75, size=problem.n)
-        sm = smoothed_reference(exact_batch, x, mu, 20000, stream.child(trial))
+        # the built-in families' oracles hold the exact objective's values
+        sm = smoothed_reference(problem.oracle.value, x, mu, 20000, stream.child(trial))
         diff = sm.mean - problem.true_value_grad(x)[0]
         slack = 4.0 * sm.stderr + 1e-12
         upper = mu**2 * l_g * problem.n / 2.0
@@ -171,7 +169,7 @@ def _validate_smoothing(problem: ConstrainedProblem, stream: RandomStream) -> st
 
 def _validate_oracle_stats(problem: ConstrainedProblem, stream: RandomStream) -> str | None:
     """First and second moments of the gradient oracle at the start point."""
-    if not problem.oracle.has_gradient or problem.true_objective is None:
+    if problem.oracle.grad is None or problem.true_objective is None:
         return None
     x = problem.x_init
     sigma = problem.oracle.sigma
@@ -224,7 +222,7 @@ def _validate_jacobian(problem: ConstrainedProblem, stream: RandomStream) -> str
 
 def _validate_batch_variance(problem: ConstrainedProblem, stream: RandomStream) -> str | None:
     """Averaging m oracle draws must shrink the error second moment like 1/m."""
-    if not problem.oracle.has_gradient or problem.true_objective is None:
+    if problem.oracle.grad is None or problem.true_objective is None:
         return None
     sigma = problem.oracle.sigma
     if sigma == 0.0:

@@ -38,8 +38,8 @@ class SteeringError(SpenError):
 class BudgetExceeded(SpenError):
     """A solver run's budget asks for more than the machine can hold.
 
-    Raised before a zeroth-order round draws anything when the random
-    draws it keeps in flight (about three ``(m, n)`` batches of directions
-    with their value noise) would exceed physical memory; the message names
-    the outer round, ``rho``, ``m``, ``n`` and the bytes needed.
+    Raised before a zeroth-order round draws anything when its draws in
+    flight (three batches if the oracle declares its draws, else one) and
+    the estimator's ``(n, m)`` work arrays would exceed physical memory;
+    the message names the outer round, ``rho``, ``m``, ``n`` and the bytes.
     """

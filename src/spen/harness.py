@@ -580,7 +580,7 @@ def write_records(records: list[RunRecord], path: str) -> None:
 
 
 def read_records(path: str) -> list[RunRecord]:
-    """Read a CSV produced by :func:`write_records`."""
+    """Read a CSV produced by :func:`write_records`; a bad row raises ``ConfigError``."""
     records: list[RunRecord] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -590,16 +590,19 @@ def read_records(path: str) -> list[RunRecord]:
         for row in reader:
             if len(row) != len(CSV_HEADER):
                 raise ConfigError(f"malformed CSV row in {path}: {row}")
-            records.append(
-                RunRecord(
-                    replication=int(row[0]),
-                    outer_iter=int(row[1]),
-                    rho=float(row[2]),
-                    theta=float(row[3]),
-                    phi=float(row[4]),
-                    crit_sq=None if row[5] == "" else float(row[5]),
-                    oracle_calls=int(row[6]),
-                    wall_ms=float(row[7]),
+            try:
+                records.append(
+                    RunRecord(
+                        replication=int(row[0]),
+                        outer_iter=int(row[1]),
+                        rho=float(row[2]),
+                        theta=float(row[3]),
+                        phi=float(row[4]),
+                        crit_sq=None if row[5] == "" else float(row[5]),
+                        oracle_calls=int(row[6]),
+                        wall_ms=float(row[7]),
+                    )
                 )
-            )
+            except ValueError as err:
+                raise ConfigError(f"{path}, line {reader.line_num}: {err}") from None
     return records

@@ -92,43 +92,33 @@ class GaussianOracle:
     pair shares one ``e`` between its two evaluations, which is the common
     random numbers convention used by two-point gradient estimators.
 
-    ``value`` and ``grad`` must accept a single point of shape ``(n,)``;
-    when ``vectorized`` is true, ``value`` must additionally accept a batch
-    of shape ``(m, n)`` and return shape ``(m,)``.  The zeroth-order
-    estimator passes that batch as a column-major view, so that numpy's
-    loops run over the long axis m; a ``value`` that sums the n entries of
-    each row with numpy may then round differently than on a C-ordered
-    batch once n reaches 8, where numpy's pairwise row sum changes order.
-    A non-vectorized ``value`` receives the rows as strided ``(n,)`` views.
+    It serves both methods of the oracle contract (see
+    :class:`ConstrainedProblem`) and declares its value draws.  ``grad``
+    takes a point of shape ``(n,)``; ``value`` takes a batch of shape
+    ``(m, n)`` and returns shape ``(m,)``.  The zeroth-order estimator
+    passes that batch as a column-major view, so that numpy's loops run over
+    the long axis m; a ``value`` that sums the n entries of each row with
+    numpy may then round differently than on a C-ordered batch once n
+    reaches 8, where numpy's pairwise row sum changes order.
     """
 
     def __init__(
         self,
-        value: Callable[[np.ndarray], float] | None = None,
+        value: Callable[[np.ndarray], np.ndarray] | None = None,
         grad: Callable[[np.ndarray], np.ndarray] | None = None,
         sigma: float = 0.0,
-        vectorized: bool = True,
     ):
         if sigma < 0.0:
             raise ConfigError(f"oracle noise level must be >= 0, got {sigma}")
-        self._value = value
-        self._grad = grad
+        self.value = value
+        self.grad = grad
         self.sigma = float(sigma)
-        self.vectorized = bool(vectorized)
-
-    @property
-    def has_gradient(self) -> bool:
-        return self._grad is not None
-
-    @property
-    def has_value(self) -> bool:
-        return self._value is not None
 
     def gradient_batch(self, x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
         """Stack of ``m`` independent gradient samples, shape ``(m, n)``."""
-        if self._grad is None:
+        if self.grad is None:
             raise OracleKindError("oracle provides no gradient (SFO) samples")
-        g = np.asarray(self._grad(x), dtype=float)
+        g = np.asarray(self.grad(x), dtype=float)
         if self.sigma > 0.0:
             noise = rng.standard_normal((m, g.size))
             noise *= self.sigma / math.sqrt(g.size)
@@ -143,20 +133,21 @@ class GaussianOracle:
 
         ``xs_b`` may also be a single row that every pair shares; its value
         is then computed once.  Both outputs have shape ``(m,)`` either way.
+        Raises ``DomainError`` when ``value`` returns another row count.
         """
-        if self._value is None:
+        if self.value is None:
             raise OracleKindError("oracle provides no value (SZO) samples")
         xs_a = np.asarray(xs_a, dtype=float)
         xs_b = np.asarray(xs_b, dtype=float)
         m, m_b = xs_a.shape[0], xs_b.shape[0]
         if m_b not in (1, m):
             raise DomainError(f"value pair batch has {m} first and {m_b} second points")
-        if self.vectorized:
-            fa = np.asarray(self._value(xs_a), dtype=float).reshape(m)
-            fb = np.asarray(self._value(xs_b), dtype=float).reshape(m_b)
-        else:
-            fa = np.array([float(self._value(xs_a[i])) for i in range(m)])
-            fb = np.array([float(self._value(xs_b[i])) for i in range(m_b)])
+        fa = np.asarray(self.value(xs_a), dtype=float)
+        fb = np.asarray(self.value(xs_b), dtype=float)
+        for f, rows in ((fa, m), (fb, m_b)):
+            if f.size != rows:
+                raise DomainError(f"value gave shape {f.shape} on {rows} rows, expected ({rows},)")
+        fa, fb = fa.reshape(m), fb.reshape(m_b)
         if self.sigma > 0.0:
             e = self.sigma * rng.standard_normal(m)
             fa = fa + e
@@ -164,6 +155,16 @@ class GaussianOracle:
         elif m_b < m:
             fb = np.repeat(fb, m)
         return fa, fb
+
+    def value_draws(self, m: int) -> tuple[tuple[int, ...], ...] | None:
+        """Shapes of the standard-normal arrays, in drawing order, that one
+        ``value_pair_batch`` call on ``m`` pairs draws from its generator:
+        ``((m,),)`` with noise, ``()`` without.  ``None`` for a subclass
+        that overrides ``value_pair_batch``, whose draws are not known."""
+        # no saved original: a wrapper swapped into this class still counts
+        if type(self).value_pair_batch is not GaussianOracle.value_pair_batch:
+            return None
+        return ((m,),) if self.sigma > 0.0 else ()
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,11 @@ class ConstrainedProblem:
     """min f(x) subject to c(x) = 0, with f reachable only through oracles.
 
     ``constraints`` maps a point to ``(c, J)`` with shapes ``(q,)`` and
-    ``(q, n)`` and is exact.  ``true_objective`` (optional) maps a point to
+    ``(q, n)`` and is exact.  ``oracle`` needs only the method its mode
+    calls, drawing from ``rng`` alone: ``gradient_batch(x, m, rng)`` or
+    ``value_pair_batch(xs_a, xs_b, rng)``; one that also declares
+    ``value_draws(m)``, as :class:`GaussianOracle` does, has its draws made
+    ahead.  ``true_objective`` (optional) maps a point to
     ``(f, grad_f)`` and is used for diagnostics and certification only,
     never by the solvers.  ``x_init`` (default the origin) and ``box`` are
     kept as read-only float copies, so instances are immutable and safe to

@@ -7,17 +7,14 @@ with both evaluations sharing one noise realization.  The inner loop and
 stopping law are the first-order solver's; budgets additionally pick the
 smoothing radius ``mu`` from the oracle-call allowance.
 
-The solver draws its standard normals one batch ahead on a helper thread:
-while iteration k evaluates values and takes its prox step, the thread
-draws iteration k+1's directions ``(m, n)`` and then its value noise
-``(m,)`` from the run's one generator, in the order the loop would draw
-them itself, so every bit is unchanged.  numpy fills a large draw without
-holding the interpreter lock, so on two or more cores the draws overlap
-the rest of the iteration; a process that may use only one CPU draws in
-the calling thread, with the same bits.  Up to three batches are alive at
-once (one in use, one waiting, one being drawn), so a round needs about
-``3 * 8 * m * (n + 1)`` bytes for its draws; a round whose draws would not
-fit in physical memory raises ``BudgetExceeded`` before it draws anything.
+An oracle that declares its draws (``value_draws``, as ``GaussianOracle``
+does) has them drawn one batch ahead on a helper thread when a second CPU is
+usable: while iteration k evaluates values, the thread draws iteration k+1's
+directions ``(m, n)`` and the declared arrays from the run's one generator in
+the loop's own order, so every bit is unchanged (numpy draws without holding
+the interpreter lock).  Every other run uses the plain generator.  A round
+whose draws in flight and the estimator's work arrays would not fit in
+physical memory raises ``BudgetExceeded`` before it draws anything.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConfigError
+from .errors import BudgetExceeded, ConfigError, DomainError
 from .problems import ConstrainedProblem, RandomStream
 from .sfo import NscoRunResult, SolverBudget, _solve_inner
 from .stats import ExpectationEstimate, mean_estimate
@@ -164,25 +161,26 @@ def solve_nsco_szo(
     The first-order solver's loop with the batch gradient replaced by the
     two-point smoothed estimator; one draw costs 2 value calls, so
     consumption is exactly ``2 * m * R``.  ``stop_index`` overrides the
-    random draw for diagnostic runs.  The standard normals are drawn one
-    batch ahead on a helper thread where a second CPU is usable, with the
-    bits of drawing them in order; the oracle must draw as
-    ``GaussianOracle.value_pair_batch`` does, or the run raises
-    ``RuntimeError``.  Raises ``ConfigError`` when the budget has no
-    smoothing radius, ``BudgetExceeded`` when the draws in flight would not
-    fit in physical memory, and ``DomainError`` when a batch estimate is
-    non-finite.
+    random draw for diagnostic runs.  If the oracle declares its draws
+    (``value_draws``) and a second CPU is usable, they are drawn one batch
+    ahead on a helper thread, with unchanged bits.  Raises ``ConfigError``
+    when the budget has no smoothing radius, ``BudgetExceeded`` when the
+    run's arrays would not fit in physical memory, and ``DomainError`` when
+    a batch estimate is non-finite or the oracle draws other than it
+    declares.
     """
     if budget.mu is None:
         raise ConfigError("zeroth-order runs need a budget with a smoothing radius")
     src, m, mu = problem.oracle, budget.m, budget.mu
-    _check_draw_memory(rho, m, problem.n)
-    # each iteration draws its directions, then (with noise) its shared value noise
-    sizes = ((m, problem.n), (m,)) if src.sigma > 0.0 else ((m, problem.n),)
+    declared = getattr(src, "value_draws", lambda _: None)(m)
+    # each iteration draws its directions, then what the oracle declares
+    sizes = ((m, problem.n), *declared) if isinstance(declared, tuple) else None
+    _check_draw_memory(rho, m, problem.n, sizes)
+    ahead = sizes is not None and _spare_cpu()
+    draws = (lambda rng, batches: _BatchDraws(rng, sizes, batches)) if ahead else None
     return _solve_inner(
         problem, rho, x_init, budget, stream, stop_index,
-        lambda x, rng: _two_point_mean(src, x, mu, m, rng), 2 * m,
-        draws=lambda rng, batches: _BatchDraws(rng, sizes, batches, _spare_cpu()),
+        lambda x, rng: _two_point_mean(src, x, mu, m, rng), 2 * m, draws,
     )
 
 
@@ -196,15 +194,14 @@ def _spare_cpu() -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-# batches alive at once: the caller's, the one waiting, the one being drawn
-_BATCHES_IN_FLIGHT = 3
-
-
-def _check_draw_memory(rho: float, m: int, n: int) -> None:
-    """Raise ``BudgetExceeded`` when the run's draws in flight, directions
-    and value noise of ``_BATCHES_IN_FLIGHT`` batches, exceed physical
+def _check_draw_memory(rho: float, m: int, n: int, sizes: tuple | None) -> None:
+    """Raise ``BudgetExceeded`` when a run's draws in flight, on any number
+    of CPUs, and the estimator's two ``(n, m)`` work arrays exceed physical
     memory.  Skipped where the platform does not report that memory."""
-    need = _BATCHES_IN_FLIGHT * 8 * m * (n + 1)
+    # drawing ahead, three batches are alive: the caller's, the one waiting
+    # and the one being drawn
+    in_flight = ((m, n),) if sizes is None else sizes * 3
+    need = 8 * (sum(math.prod(size) for size in in_flight) + 2 * m * n)
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -212,42 +209,40 @@ def _check_draw_memory(rho: float, m: int, n: int) -> None:
     if need > physical:
         raise BudgetExceeded(
             f"zeroth-order draws at rho={rho:.6g} with m={m}, n={n} need {need} bytes "
-            f"in flight, more than the {physical} bytes of physical memory"
+            f"with the estimator's work arrays, more than the {physical} bytes of "
+            f"physical memory"
         )
 
 
 class _BatchDraws:
     """Generator stand-in for one zeroth-order run, used as a context manager.
 
-    The run draws ``batches`` batches from ``rng``, each one array per entry
-    of ``sizes`` in that order.  ``standard_normal(size)`` returns the next
-    array, and raises ``RuntimeError`` if ``size`` is not the next size of
-    that pattern, as does leaving the context in the middle of a batch, so a
-    changed draw pattern fails instead of moving bits, on any number of
-    CPUs.  With ``ahead``, a helper thread draws the batches at most one
-    batch ahead of the caller (one more waits in a queue of one); an error
-    in the thread is raised, as the same object, by the call that would have
-    received the batch, and leaving the context stops and joins the thread,
-    so none outlives the run.  Without, each array is drawn in the calling
-    thread when it is asked for, as the generator itself would.
+    The run draws ``batches`` batches from ``rng``, each one standard-normal
+    array per entry of ``sizes`` in that order.  A helper thread draws the
+    batches at most one batch ahead of the caller (one more waits in a
+    queue of one), and ``standard_normal(size)`` returns the next array.
+    It raises ``DomainError`` if ``size`` is not the next size of that
+    pattern, as does leaving the context in the middle of a batch, so a
+    draw pattern other than the declared one fails instead of moving bits.
+    An error in the thread is raised, as the same object, by the call that
+    would have received the batch, and leaving the context stops and joins
+    the thread, so none outlives the run.
     """
 
-    def __init__(self, rng: np.random.Generator, sizes: tuple, batches: int, ahead: bool):
+    def __init__(self, rng: np.random.Generator, sizes: tuple, batches: int):
+        # imported here: a program that never draws ahead does not load the
+        # queue module
+        import queue
+        import threading
+
         self._rng, self._sizes = rng, sizes
         self._at = 0  # index in ``sizes`` of the next draw
         self._batch: list = []
-        self._thread = None
-        if ahead:
-            # imported here: a program that never runs a zeroth-order solve
-            # on two CPUs does not load the queue module
-            import queue
-            import threading
-
-            self._ready: queue.Queue = queue.Queue(maxsize=1)
-            self._stop = threading.Event()
-            self._thread = threading.Thread(
-                target=self._fill, args=(batches,), name="spen-szo-draws", daemon=True
-            )
+        self._ready: queue.Queue = queue.Queue(maxsize=1)
+        self._stop = threading.Event()
+        self._thread = threading.Thread(
+            target=self._fill, args=(batches,), name="spen-szo-draws", daemon=True
+        )
 
     def _fill(self, batches: int) -> None:
         # only the generator runs here: spen code and its callers' hooks stay
@@ -264,10 +259,8 @@ class _BatchDraws:
     def standard_normal(self, size) -> np.ndarray:
         want = self._sizes[self._at]
         if (size if isinstance(size, tuple) else (size,)) != want:
-            raise RuntimeError(f"draw of size {size} where the run draws {want}")
+            raise DomainError(f"draw of size {size} where the run draws {want}")
         self._at = (self._at + 1) % len(self._sizes)
-        if self._thread is None:
-            return self._rng.standard_normal(want)
         if not self._batch:
             item = self._ready.get()
             if isinstance(item, BaseException):
@@ -276,17 +269,15 @@ class _BatchDraws:
         return self._batch.pop()
 
     def __enter__(self) -> "_BatchDraws":
-        if self._thread is not None:
-            self._thread.start()
+        self._thread.start()
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._thread is not None:
-            self._stop.set()
-            # with the stop set, the thread puts at most once more; emptying
-            # the queue once (only the thread fills it) lets that put through
-            if not self._ready.empty():
-                self._ready.get()
-            self._thread.join()
+        self._stop.set()
+        # with the stop set, the thread puts at most once more; emptying
+        # the queue once (only the thread fills it) lets that put through
+        if not self._ready.empty():
+            self._ready.get()
+        self._thread.join()
         if exc[0] is None and self._at:
-            raise RuntimeError(f"the run ended {len(self._sizes) - self._at} draws short of a batch")
+            raise DomainError(f"run ended {len(self._sizes) - self._at} draws short of a batch")

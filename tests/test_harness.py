@@ -398,3 +398,16 @@ def test_records_empty_and_bad_header(tmp_path):
     bad.write_text("nope,nope\n1,2\n")
     with pytest.raises(ConfigError):
         read_records(str(bad))
+
+
+def test_records_field_that_is_not_a_number_names_path_and_line(tmp_path):
+    path = tmp_path / "records.csv"
+    write_records(_random_records(np.random.default_rng(8), 3), str(path))
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[2] = "abc"  # the second record's rho
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as err:
+        read_records(str(path))
+    assert f"{path}, line 3:" in str(err.value) and "'abc'" in str(err.value)

@@ -111,7 +111,7 @@ def test_oracle_batch_mean_variance_scaling():
 
 def test_oracle_value_noise_level():
     sigma = 0.5
-    orc = GaussianOracle(value=lambda x: 0.0, sigma=sigma, vectorized=False)
+    orc = GaussianOracle(value=lambda xs: np.zeros(len(xs)), sigma=sigma)
     rng = np.random.default_rng(9)
     vals, _ = orc.value_pair_batch(np.zeros((4000, 2)), np.zeros((4000, 2)), rng)
     assert abs(vals.mean()) < 5.0 * sigma / np.sqrt(4000)
@@ -120,7 +120,7 @@ def test_oracle_value_noise_level():
 
 def test_value_pair_shares_noise():
     # paired draws share one noise realization, so differences are exact
-    orc = GaussianOracle(value=lambda x: float(x[0]), sigma=2.0, vectorized=False)
+    orc = GaussianOracle(value=lambda xs: xs[:, 0], sigma=2.0)
     rng = np.random.default_rng(1)
     xa, xb = rng.standard_normal((50, 3)), rng.standard_normal((50, 3))
     fa, fb = orc.value_pair_batch(xa, xb, rng)
@@ -128,15 +128,16 @@ def test_value_pair_shares_noise():
 
 
 def test_value_pair_batch_matches_loop():
-    value = lambda x: float((np.asarray(x) ** 3).sum()) if np.asarray(x).ndim == 1 else (
-        np.asarray(x) ** 3).sum(axis=-1)
-    vec = GaussianOracle(value=value, sigma=0.4, vectorized=True)
-    loop = GaussianOracle(value=value, sigma=0.4, vectorized=False)
+    value = lambda x: (np.asarray(x) ** 3).sum(axis=-1)
+    vec = GaussianOracle(value=value, sigma=0.4)
     rng = np.random.default_rng(2)
     xa = rng.standard_normal((6, 3))
     xb = rng.standard_normal((6, 3))
     fa1, fb1 = vec.value_pair_batch(xa, xb, np.random.default_rng(77))
-    fa2, fb2 = loop.value_pair_batch(xa, xb, np.random.default_rng(77))
+    # the loop reference: one point at a time, plus the batch's shared noise
+    e = 0.4 * np.random.default_rng(77).standard_normal(6)
+    fa2 = np.array([float(value(row)) for row in xa]) + e
+    fb2 = np.array([float(value(row)) for row in xb]) + e
     assert np.allclose(fa1, fa2, atol=1e-12)
     assert np.allclose(fb1, fb2, atol=1e-12)
     # row-wise noise cancels in the difference
@@ -144,15 +145,24 @@ def test_value_pair_batch_matches_loop():
     assert np.allclose(fa1 - fb1, exact, atol=1e-12)
     # one second row shared by every pair: same draws, outputs still (m,)
     for sigma in (0.4, 0.0):
-        for vectorized in (True, False):
-            orc = GaussianOracle(value=value, sigma=sigma, vectorized=vectorized)
-            fa3, fb3 = orc.value_pair_batch(xa, xb[:1], np.random.default_rng(77))
-            fa4, fb4 = orc.value_pair_batch(xa, np.tile(xb[0], (6, 1)), np.random.default_rng(77))
-            assert fb3.shape == (6,)
-            assert np.array_equal(fa3, fa4)
-            assert np.array_equal(fb3, fb4)
+        orc = GaussianOracle(value=value, sigma=sigma)
+        fa3, fb3 = orc.value_pair_batch(xa, xb[:1], np.random.default_rng(77))
+        fa4, fb4 = orc.value_pair_batch(xa, np.tile(xb[0], (6, 1)), np.random.default_rng(77))
+        assert fb3.shape == (6,)
+        assert np.array_equal(fa3, fa4)
+        assert np.array_equal(fb3, fb4)
     with pytest.raises(DomainError):
         vec.value_pair_batch(xa, xb[:2], np.random.default_rng(77))
+
+
+def test_value_pair_batch_rejects_a_value_of_the_wrong_shape():
+    # a value written for one point, not for an (m, n) batch, fails naming
+    # the shape the batch needs instead of a bare reshape error
+    xs = np.zeros((50, 2))
+    for value in (lambda x: 0.0, lambda xs: np.zeros((50, 2))):
+        orc = GaussianOracle(value=value, sigma=0.1)
+        with pytest.raises(DomainError, match=r"expected \(50,\)"):
+            orc.value_pair_batch(xs, xs[:1], np.random.default_rng(0))
 
 
 def test_oracle_kind_errors():

@@ -199,22 +199,21 @@ def test_szo_batch_evaluates_shared_base_once():
         return 0.5 * (xs**2).sum(axis=-1)
 
     for sigma in (0.0, 0.3):
-        for vectorized in (True, False):
-            prob = ConstrainedProblem(
-                n=2,
-                q=1,
-                constraints=lambda x: (np.zeros(1), np.zeros((1, 2))),
-                oracle=GaussianOracle(value=value, sigma=sigma, vectorized=vectorized),
-                constants=ProblemConstants(L_g=1.0, sigma=sigma),
-            )
-            rows.clear()
-            szo_gradient_batch(prob, np.ones(2), 0.1, 5, RandomStream(3))
-            assert sum(rows) == 6
-            rows.clear()
-            budget = SolverBudget(n_bar=40, m=4, gamma=0.5, L=2.0, mu=0.05)
-            res = solve_nsco_szo(prob, 1.0, np.ones(2), budget, RandomStream(3), stop_index=3)
-            assert sum(rows) == 3 * (4 + 1)
-            assert res.oracle_calls == 2 * 4 * 3
+        prob = ConstrainedProblem(
+            n=2,
+            q=1,
+            constraints=lambda x: (np.zeros(1), np.zeros((1, 2))),
+            oracle=GaussianOracle(value=value, sigma=sigma),
+            constants=ProblemConstants(L_g=1.0, sigma=sigma),
+        )
+        rows.clear()
+        szo_gradient_batch(prob, np.ones(2), 0.1, 5, RandomStream(3))
+        assert sum(rows) == 6
+        rows.clear()
+        budget = SolverBudget(n_bar=40, m=4, gamma=0.5, L=2.0, mu=0.05)
+        res = solve_nsco_szo(prob, 1.0, np.ones(2), budget, RandomStream(3), stop_index=3)
+        assert sum(rows) == 3 * (4 + 1)
+        assert res.oracle_calls == 2 * 4 * 3
 
 
 def test_szo_batch_matches_row_major_reference():
@@ -230,23 +229,22 @@ def test_szo_batch_matches_row_major_reference():
     for n in range(1, 6):
         x = np.linspace(-1.0, 1.5, n)
         for sigma in (0.0, 0.3):
-            for vectorized in (True, False):
-                prob = ConstrainedProblem(
-                    n=n,
-                    q=1,
-                    constraints=lambda x: (np.zeros(1), np.zeros((1, x.size))),
-                    oracle=GaussianOracle(value=value, sigma=sigma, vectorized=vectorized),
-                    constants=ProblemConstants(L_g=1.0, sigma=sigma),
-                )
-                stream = RandomStream(14, (n,))
-                shapes.clear()
-                got = szo_gradient_batch(prob, x, mu, m, stream)
-                # m + 1 evaluated rows: the shared base row once
-                assert shapes == ([(m, n), (1, n)] if vectorized else [(n,)] * (m + 1))
-                rng = stream.generator()
-                v = rng.standard_normal((m, n))
-                fa, fb = prob.oracle.value_pair_batch(x + mu * v, x[None], rng)
-                assert np.array_equal(got, (((fa - fb) / mu)[:, None] * v).mean(axis=0))
+            prob = ConstrainedProblem(
+                n=n,
+                q=1,
+                constraints=lambda x: (np.zeros(1), np.zeros((1, x.size))),
+                oracle=GaussianOracle(value=value, sigma=sigma),
+                constants=ProblemConstants(L_g=1.0, sigma=sigma),
+            )
+            stream = RandomStream(14, (n,))
+            shapes.clear()
+            got = szo_gradient_batch(prob, x, mu, m, stream)
+            # m + 1 evaluated rows: the shared base row once
+            assert shapes == [(m, n), (1, n)]
+            rng = stream.generator()
+            v = rng.standard_normal((m, n))
+            fa, fb = prob.oracle.value_pair_batch(x + mu * v, x[None], rng)
+            assert np.array_equal(got, (((fa - fb) / mu)[:, None] * v).mean(axis=0))
 
 
 def test_szo_solver_rejects_non_finite_batch():
@@ -279,11 +277,11 @@ def test_szo_solver_progress_on_quadratic():
     assert fR < 0.05 * f0
 
 
-def _draw_ahead_problem(value, sigma=0.1, oracle_cls=GaussianOracle):
+def _draw_ahead_problem(value, sigma=0.1, oracle_cls=GaussianOracle, n=2):
     return ConstrainedProblem(
-        n=2,
+        n=n,
         q=1,
-        constraints=lambda x: (np.zeros(1), np.zeros((1, 2))),
+        constraints=lambda x: (np.zeros(1), np.zeros((1, n))),
         oracle=oracle_cls(value=value, sigma=sigma),
     )
 
@@ -315,10 +313,15 @@ def _raised_by(fn):
     return raised[0]
 
 
-@pytest.mark.parametrize("sigma", [0.0, 0.1])
-def test_szo_draw_ahead_keeps_the_bits_and_leaves_no_thread(monkeypatch, sigma):
+@pytest.mark.parametrize("sigma, n", [
+    # the n = 2 cases keep the ids they had before n was a parameter
+    pytest.param(sigma, n, id=str(sigma) if n == 2 else f"{sigma}-n{n}")
+    for n in (2, 1, 3) for sigma in (0.0, 0.1)
+])
+def test_szo_draw_ahead_keeps_the_bits_and_leaves_no_thread(monkeypatch, sigma, n):
     # the helper thread draws each batch's directions and noise in the loop's
-    # own order, so the run has the bits of drawing in the calling thread
+    # own order, so the run has the bits of drawing in the calling thread;
+    # n = 1 takes the estimator's separate sum
     baseline = threading.active_count()
     seen = []
 
@@ -326,13 +329,13 @@ def test_szo_draw_ahead_keeps_the_bits_and_leaves_no_thread(monkeypatch, sigma):
         seen.append(_helper_alive())
         return _quad_value(xs)
 
-    prob = _draw_ahead_problem(value, sigma)
+    prob = _draw_ahead_problem(value, sigma, n=n)
     budget = SolverBudget(n_bar=400, m=50, gamma=0.5, L=2.0, mu=0.05)
     runs = {}
     for spare in (True, False):
         monkeypatch.setattr(szo, "_spare_cpu", lambda spare=spare: spare)
         seen.clear()
-        runs[spare] = solve_nsco_szo(prob, 1.0, np.ones(2), budget, RandomStream(4), stop_index=6)
+        runs[spare] = solve_nsco_szo(prob, 1.0, np.ones(n), budget, RandomStream(4), stop_index=6)
         assert any(seen) == spare
         assert threading.active_count() == baseline
     assert np.array_equal(runs[True].x_R, runs[False].x_R)
@@ -408,15 +411,75 @@ def test_szo_draw_ahead_raises_the_thread_error_in_the_caller(monkeypatch):
     assert threading.active_count() == baseline
 
 
-class _WiderNoise(GaussianOracle):
+class _UniformNoise(GaussianOracle):
+    """Uniform value noise: draws that ``GaussianOracle`` does not make."""
+
+    def value_pair_batch(self, xs_a, xs_b, rng):
+        e = self.sigma * rng.uniform(-1.0, 1.0, xs_a.shape[0])
+        return self.value(xs_a) + e, self.value(xs_b) + e
+
+
+class _DuckOracle:
+    """Only the method a zeroth-order run calls: no ``sigma``, no ``value_draws``."""
+
+    def __init__(self, value, sigma):
+        self.fn, self.noise = value, sigma
+
+    def value_pair_batch(self, xs_a, xs_b, rng):
+        e = self.noise * rng.standard_normal(xs_a.shape[0])
+        return self.fn(xs_a) + e, self.fn(xs_b) + e
+
+
+@pytest.mark.parametrize("oracle_cls", [_UniformNoise, _DuckOracle])
+def test_szo_runs_oracles_that_declare_no_draws_on_the_plain_generator(monkeypatch, oracle_cls):
+    # an oracle that does not declare its draws is never drawn ahead: on any
+    # number of CPUs it gets the run's generator, with the bits of a loop
+    # written against that generator
+    seen = []
+
+    def value(xs):
+        seen.append(_helper_alive())
+        return _quad_value(xs)
+
+    prob = _draw_ahead_problem(value, oracle_cls=oracle_cls)
+    budget = SolverBudget(n_bar=400, m=50, gamma=0.5, L=2.0, mu=0.05)
+    stream = RandomStream(4)
+    rng = stream.child(1).generator()
+
+    def batch(x):
+        v = rng.standard_normal((50, 2))
+        f_shift, f_base = prob.oracle.value_pair_batch(x + 0.05 * v, x[None], rng)
+        return (((f_shift - f_base) / 0.05)[:, None] * v).mean(axis=0)
+
+    x = np.ones(2)
+    for _ in range(1, 6):
+        x = prox_step(x, batch(x), *eval_constraints(prob, x), 1.0, 0.5).x_plus
+    g = batch(x)
+    for spare in (True, False):
+        monkeypatch.setattr(szo, "_spare_cpu", lambda spare=spare: spare)
+        seen.clear()
+        res = solve_nsco_szo(prob, 1.0, np.ones(2), budget, stream, stop_index=6)
+        assert len(seen) == 2 * 6 and not any(seen)
+        assert res.x_R.tobytes() == x.tobytes()
+        assert res.G_R.tobytes() == g.tobytes()
+
+
+class _DeclaresNoise(GaussianOracle):
+    """Declares ``GaussianOracle``'s noise draw whatever it draws."""
+
+    def value_draws(self, m):
+        return ((m,),)
+
+
+class _WiderNoise(_DeclaresNoise):
     def value_pair_batch(self, xs_a, xs_b, rng):
         rng.standard_normal(xs_a.shape[0] + 1)
         return super().value_pair_batch(xs_a, xs_b, rng)
 
 
-class _NoNoiseDrawn(GaussianOracle):
+class _NoNoiseDrawn(_DeclaresNoise):
     def value_pair_batch(self, xs_a, xs_b, rng):
-        return self._value(xs_a), np.repeat(self._value(xs_b), xs_a.shape[0])
+        return self.value(xs_a), np.repeat(self.value(xs_b), xs_a.shape[0])
 
 
 @pytest.mark.parametrize("oracle_cls, stop_index, message", [
@@ -426,15 +489,14 @@ class _NoNoiseDrawn(GaussianOracle):
 ])
 def test_szo_draw_ahead_rejects_a_changed_draw_pattern(monkeypatch, oracle_cls, stop_index,
                                                        message):
-    # the draws are made in GaussianOracle's pattern; an oracle that draws
-    # otherwise would silently move bits, so the run fails instead, also
-    # where the calling thread draws
+    # drawn ahead, an oracle that draws other than it declares would
+    # silently move bits, so the run fails instead, with a SpenError that a
+    # study records
+    monkeypatch.setattr(szo, "_spare_cpu", lambda: True)
     baseline = threading.active_count()
     prob = _draw_ahead_problem(_quad_value, oracle_cls=oracle_cls)
     budget = SolverBudget(n_bar=40, m=4, gamma=0.5, L=2.0, mu=0.05)
-    for spare in (True, False):
-        monkeypatch.setattr(szo, "_spare_cpu", lambda spare=spare: spare)
-        err = _raised_by(lambda: solve_nsco_szo(
-            prob, 1.0, np.ones(2), budget, RandomStream(0), stop_index=stop_index))
-        assert isinstance(err, RuntimeError) and message in str(err)
-        assert threading.active_count() == baseline
+    err = _raised_by(lambda: solve_nsco_szo(
+        prob, 1.0, np.ones(2), budget, RandomStream(0), stop_index=stop_index))
+    assert isinstance(err, DomainError) and message in str(err)
+    assert threading.active_count() == baseline
