@@ -30,6 +30,7 @@ from .problems import (
     KnownSolution,
     ProblemConstants,
     RandomStream,
+    _frozen,
     eval_constraints,
 )
 from .stats import ExpectationEstimate, mean_estimate
@@ -164,6 +165,7 @@ def _family(
 
 def _build_p1(spec: TestProblemSpec) -> ConstrainedProblem:
     n = _check_spec_dimension(spec, None, 10)
+    jac = _frozen(np.zeros((1, n)))
 
     def fval(x):
         x = np.asarray(x, dtype=float)
@@ -173,7 +175,7 @@ def _build_p1(spec: TestProblemSpec) -> ConstrainedProblem:
         return np.sin(x) + 0.1 * x
 
     def cons(x):
-        return np.zeros(1), np.zeros((1, n))
+        return np.zeros(1), jac
 
     constants = dict(
         L_g=1.1,
@@ -193,7 +195,7 @@ _P2_TARGET = np.array([1.0, 1.0])
 
 def _build_p2(spec: TestProblemSpec, corrupt_jacobian: bool = False) -> ConstrainedProblem:
     _check_spec_dimension(spec, 2, 2)
-    jac_scale = 1.05 if corrupt_jacobian else 1.0
+    jac = _frozen((1.05 if corrupt_jacobian else 1.0) * np.array([[1.0, 1.0]]))
 
     def fval(x):
         diff = np.asarray(x, dtype=float) - _P2_TARGET
@@ -203,7 +205,7 @@ def _build_p2(spec: TestProblemSpec, corrupt_jacobian: bool = False) -> Constrai
         return np.asarray(x, dtype=float) - _P2_TARGET
 
     def cons(x):
-        return np.array([x[0] + x[1] - 1.0]), jac_scale * np.array([[1.0, 1.0]])
+        return np.array([x[0] + x[1] - 1.0]), jac
 
     constants = dict(
         L_g=1.0,
@@ -305,6 +307,7 @@ def _build_p3(spec: TestProblemSpec) -> ConstrainedProblem:
 
 def _build_rosen(spec: TestProblemSpec) -> ConstrainedProblem:
     _check_spec_dimension(spec, 2, 2)
+    jac = _frozen([[1.0, 1.0]])
 
     # products, not scalar ``**2``, so one point gives the bits of a batch row
     def fval(x):
@@ -319,7 +322,7 @@ def _build_rosen(spec: TestProblemSpec) -> ConstrainedProblem:
         return np.array([-400.0 * x1 * d - 2.0 * e, 200.0 * d])
 
     def cons(x):
-        return np.array([x[0] + x[1] - 1.0]), np.array([[1.0, 1.0]])
+        return np.array([x[0] + x[1] - 1.0]), jac
 
     # on the feasible line x = (t, 1 - t) the objective's derivative is
     # 400t^3 + 600t^2 - 198t - 202; x_star is the real root with least f

@@ -187,15 +187,16 @@ class ConstrainedProblem:
     """min f(x) subject to c(x) = 0, with f reachable only through oracles.
 
     ``constraints`` maps a point to ``(c, J)`` with shapes ``(q,)`` and
-    ``(q, n)`` and is exact.  ``oracle`` needs only the method its mode
-    calls, drawing from ``rng`` alone: ``gradient_batch(x, m, rng)`` or
-    ``value_pair_batch(xs_a, xs_b, rng)``; one that also declares
-    ``value_draws(m)``, as :class:`GaussianOracle` does, has its draws made
-    ahead.  ``true_objective`` (optional) maps a point to
-    ``(f, grad_f)`` and is used for diagnostics and certification only,
-    never by the solvers.  ``x_init`` (default the origin) and ``box`` are
-    kept as read-only float copies, so instances are immutable and safe to
-    share across concurrently running replications.
+    ``(q, n)`` and is exact; it may return one shared read-only ``J`` on
+    every call (spen never writes to ``J``).  ``oracle`` needs only the
+    method its mode calls, drawing from ``rng`` alone:
+    ``gradient_batch(x, m, rng)`` or ``value_pair_batch(xs_a, xs_b, rng)``;
+    one that also declares ``value_draws(m)``, as :class:`GaussianOracle`
+    does, has its draws made ahead.  ``true_objective`` (optional) maps a
+    point to ``(f, grad_f)`` and is used for diagnostics and certification
+    only, never by the solvers.  ``x_init`` (default the origin) and ``box``
+    are kept as read-only float copies, so instances are immutable and safe
+    to share across concurrently running replications.
     """
 
     n: int
@@ -223,19 +224,25 @@ class ConstrainedProblem:
 
 
 def eval_constraints(problem: ConstrainedProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate ``(c(x), J(x))`` with shape and finiteness validation."""
+    """Evaluate ``(c(x), J(x))`` with shape and finiteness validation.
+
+    ``J`` is returned as given, so a shared read-only one stays shared.
+    Finite values of any size pass, with no overflow warning."""
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise DomainError(f"point has shape {x.shape}, expected ({problem.n},)")
     c, jac = problem.constraints(x)
-    c = np.asarray(c, dtype=float).reshape(-1)
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 1:
+        c = c.reshape(-1)
     jac = np.asarray(jac, dtype=float)
-    # one combined test first: the sum of squares is non-finite whenever an
-    # entry is (and on overflow, which the detailed checks below let pass)
+    # one combined test first: a Python float sum is non-finite whenever an
+    # entry is, and on overflow, silently unlike numpy's (the detailed checks
+    # below let an overflow pass)
     if (
         c.shape == (problem.q,)
         and jac.shape == (problem.q, problem.n)
-        and math.isfinite(c.dot(c) + jac.ravel().dot(jac.ravel()))
+        and math.isfinite(sum(c.tolist()) + sum(jac.ravel().tolist()))
     ):
         return c, jac
     if c.shape != (problem.q,):

@@ -180,7 +180,8 @@ def batch_gradient(
 
 
 def _batch_mean(src, x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    return src.gradient_batch(x, m, rng).sum(axis=0) / m
+    # sum(axis=0) without its Python wrapper; "/=" would reject integer samples
+    return np.add.reduce(src.gradient_batch(x, m, rng), 0) / m
 
 
 def _solve_inner(
@@ -221,7 +222,11 @@ def _solve_inner(
         # iteration k estimates G_k at x_k; the last one is G_R at the returned x_R
         for k in range(1, r_stop + 1):
             grad_est = estimate(x, rng)
-            if not np.isfinite(grad_est).all():
+            if grad_est.shape != x.shape:
+                raise DomainError(f"batch gradient estimate at inner iteration {k} has shape "
+                                  f"{grad_est.shape}, expected {x.shape}")
+            # a fifth of the cost of np.isfinite(grad_est).all() on a short vector
+            if not all(map(math.isfinite, grad_est.tolist())):
                 raise DomainError(f"batch gradient estimate is non-finite at inner iteration {k}")
             if k == r_stop:
                 break

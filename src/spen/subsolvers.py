@@ -46,7 +46,7 @@ DEFAULT_PROX_TOL = 1e-10
 DEFAULT_MEASURE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProxResult:
     """Solution of one proximal step.
 
@@ -60,6 +60,11 @@ class ProxResult:
     lam: np.ndarray
     p_gamma: np.ndarray
     gap: float
+
+    def __init__(self, x_plus, d, lam, p_gamma, gap):
+        # the generated __init__ of a frozen class costs about twice as much:
+        # one object.__setattr__ per field
+        self.__dict__.update(x_plus=x_plus, d=d, lam=lam, p_gamma=p_gamma, gap=gap)
 
 
 @dataclass(frozen=True)
@@ -255,7 +260,7 @@ def prox_step(
     about a microsecond to key and store the new basis.
     """
     g = np.asarray(g, dtype=float)
-    c = np.asarray(c, dtype=float).reshape(-1)
+    c = np.asarray(c, dtype=float).ravel()  # reshape(-1)'s result, with less call overhead
     jac = _as_jacobian(jac)
     if gamma <= 0.0:
         raise SubsolverError(f"prox step size must be > 0, got {gamma}")

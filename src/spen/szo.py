@@ -222,8 +222,8 @@ class _BatchDraws:
     batches at most one batch ahead of the caller (one more waits in a
     queue of one), and ``standard_normal(size)`` returns the next array.
     It raises ``DomainError`` if ``size`` is not the next size of that
-    pattern, as does leaving the context in the middle of a batch, so a
-    draw pattern other than the declared one fails instead of moving bits.
+    pattern, as do other generator methods and leaving a batch unfinished,
+    so a draw pattern other than the declared one fails instead of moving bits.
     An error in the thread is raised, as the same object, by the call that
     would have received the batch, and leaving the context stops and joins
     the thread, so none outlives the run.
@@ -267,6 +267,9 @@ class _BatchDraws:
                 raise item
             self._batch = item
         return self._batch.pop()
+
+    def __getattr__(self, name: str):  # names the class lacks: another kind of draw
+        raise DomainError(f"draw by {name} where the run draws only standard_normal ahead")
 
     def __enter__(self) -> "_BatchDraws":
         self._thread.start()

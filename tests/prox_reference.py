@@ -1,14 +1,35 @@
-"""Reference q >= 2 prox step: the straightforward version the library's lean
-kernel must reproduce bit for bit.
+"""Reference prox steps: the straightforward versions the library's lean
+kernels must reproduce bit for bit.
 
-It solves the dual ``max_{||lam|| <= rho} <lam, b> - lam' A lam / 2`` with
+With one constraint row, :func:`prox_q1` is the scalar-dual formula written
+out in full.  With more, the reference solves the dual
+``max_{||lam|| <= rho} <lam, b> - lam' A lam / 2`` with
 ``A = gamma*J J'`` and ``b = c - gamma*J g`` by an eigendecomposition (the
 least-norm stationary point if it lies in the ball, else the root of the
 secular equation), builds ``d = -gamma*(g + J' lam)``, and evaluates the
 primal and dual objectives separately.
 """
 
+import math
+
 import numpy as np
+
+
+def prox_q1(x, g, c, jac, rho, gamma):
+    """``(x_plus, d, lam, p_gamma, gap)`` of the one-row prox step."""
+    j = jac[0]
+    c0 = float(c[0])
+    a = gamma * float(j.dot(j))
+    b = c0 - gamma * float(j.dot(g))
+    if a > 0.0:
+        lam0 = min(max(b / a, -rho), rho)
+    else:
+        lam0 = math.copysign(rho, b) if b != 0.0 else 0.0
+    p_gamma = g + lam0 * j
+    d = -gamma * p_gamma
+    t = c0 + float(j.dot(d))
+    gap = rho * abs(t) - lam0 * t
+    return x + d, d, np.array([lam0]), p_gamma, gap
 
 
 def secular_root(w, beta, radius):

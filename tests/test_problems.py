@@ -1,6 +1,7 @@
 """Tests for random streams, stochastic oracles, and problem containers."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,44 @@ def test_eval_constraints_rejects_bad_returns():
     )
     with pytest.raises(DomainError):
         eval_constraints(nan_c, np.zeros(2))
+
+
+def test_eval_constraints_passes_huge_finite_values_without_a_warning():
+    # a numpy sum of squares of these values overflows with a RuntimeWarning,
+    # an error under this suite's settings
+    prob = build_problem(TestProblemSpec("P2", sigma=0.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c, jac = eval_constraints(prob, np.array([1e200, 0.0]))
+    assert c[0] == 1e200 and np.array_equal(jac, [[1.0, 1.0]])
+
+
+@pytest.mark.parametrize("c, jac, message", [
+    ([np.nan], [[1.0, 1.0]], "constraint component 0 is non-finite at the queried point"),
+    ([-np.inf], [[1.0, 1.0]], "constraint component 0 is non-finite at the queried point"),
+    ([1e308], [[1e308, np.inf]], r"Jacobian entry \(0, 1\) is non-finite at the queried point"),
+    ([0.0], [[np.nan, 1.0]], r"Jacobian entry \(0, 0\) is non-finite at the queried point"),
+])
+def test_eval_constraints_names_the_non_finite_entry(c, jac, message):
+    prob = ConstrainedProblem(
+        n=2, q=1,
+        constraints=lambda x: (np.array(c), np.array(jac)),
+        oracle=GaussianOracle(grad=lambda x: x),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            eval_constraints(prob, np.zeros(2))
+
+
+@pytest.mark.parametrize("family", ["P1", "P2", "DEBUG-BADJAC", "ROSEN-EQ"])
+def test_constant_jacobians_are_shared_and_read_only(family):
+    prob = build_problem(TestProblemSpec(family, sigma=0.1))
+    _, jac = eval_constraints(prob, prob.x_init)
+    _, again = eval_constraints(prob, prob.x_init + 0.5)
+    assert again is jac and not jac.flags.writeable
+    with pytest.raises(ValueError):
+        jac[0, 0] = 7.0
 
 
 def test_true_value_grad_requires_exact_objective():

@@ -7,16 +7,21 @@ import pytest
 from scipy import stats as sps
 
 from counting_oracle import CountingGaussianOracle
+from prox_reference import prox_q1
 from spen import (
     ConfigError,
     ConstrainedProblem,
     DomainError,
     GaussianOracle,
+    PenaltyConfig,
     ProblemConstants,
     RandomStream,
     SolverBudget,
+    TestProblemSpec,
+    build_problem,
     batch_gradient,
     prox_step,
+    run_penalty,
     sample_stop_index,
     sfo_budget,
     sfo_stationarity_bound,
@@ -282,3 +287,58 @@ def test_solver_rejects_non_finite_batch():
     budget = SolverBudget(n_bar=50, m=2, gamma=1.0, L=1.0)
     with pytest.raises(DomainError, match="iteration 4"):
         solve_nsco_sfo(prob, 1.0, np.ones(2), budget, RandomStream(0), stop_index=10)
+
+
+def test_solver_rejects_a_gradient_of_the_wrong_shape():
+    # not numpy's bare "shapes not aligned" ValueError from the prox step
+    prob = build_problem(TestProblemSpec("P2", sigma=0.1))
+    prob = replace(prob, oracle=GaussianOracle(grad=lambda x: np.zeros(3), sigma=0.1))
+    expected = r"at inner iteration 1 has shape \(3,\), expected \(2,\)"
+    budget = SolverBudget(n_bar=50, m=5, gamma=1.0, L=1.0)
+    with pytest.raises(DomainError, match=expected):
+        solve_nsco_sfo(prob, 1.0, np.ones(2), budget, RandomStream(0), stop_index=3)
+    with pytest.raises(DomainError, match=expected):
+        run_penalty(prob, PenaltyConfig(epsilon=0.9, max_outer=2), RandomStream(7))
+
+
+def _reference_solve(problem, rho, x0, budget, stream, stop_index):
+    # the inner loop written with numpy's plain expressions: sum / m,
+    # np.isfinite, a writable copy of the Jacobian every call and the
+    # one-row prox formula in full
+    rng = stream.child(1).generator()
+    x = np.asarray(x0, dtype=float).copy()
+    for k in range(1, stop_index + 1):
+        g = problem.oracle.gradient_batch(x, budget.m, rng).sum(axis=0) / budget.m
+        assert np.isfinite(g).all()
+        if k == stop_index:
+            return x, g
+        c, jac = problem.constraints(x)
+        c, jac = np.asarray(c, dtype=float).reshape(-1), np.array(jac, dtype=float)
+        x = prox_q1(x, g, c, jac, rho, budget.gamma)[0]
+
+
+@pytest.mark.parametrize("family, rho", [("P1", 1.0), ("P2", 2.0), ("P3", 3.0)])
+def test_solver_matches_the_plain_reference_loop_bit_for_bit(family, rho):
+    # P1's zero Jacobian takes the a == 0 prox branch, P2's constant one is
+    # shared, and P3's depends on x
+    prob = build_problem(TestProblemSpec(family, sigma=0.1))
+    L = prob.constants.L_g
+    budget = SolverBudget(n_bar=400 * 7, m=7, gamma=1.0 / L, L=L)
+    stream = RandomStream(5)
+    res = solve_nsco_sfo(prob, rho, prob.x_init, budget, stream, stop_index=300)
+    x, g = _reference_solve(prob, rho, prob.x_init, budget, stream, 300)
+    assert res.x_R.tobytes() == x.tobytes()
+    assert res.G_R.tobytes() == g.tobytes()
+
+
+def test_solver_takes_integer_gradient_samples():
+    # the batch mean divides into a new float array, as sum(axis=0) / m did
+    class IntegerSamples:
+        def gradient_batch(self, x, m, rng):
+            return np.ones((m, 2), dtype=int)
+
+    prob = replace(_free_problem(), oracle=IntegerSamples())
+    budget = SolverBudget(n_bar=40, m=4, gamma=0.5, L=2.0)
+    res = solve_nsco_sfo(prob, 1.0, np.ones(2), budget, RandomStream(0), stop_index=3)
+    assert res.G_R.dtype == np.float64 and np.array_equal(res.G_R, [1.0, 1.0])
+    assert np.array_equal(res.x_R, [0.0, 0.0])

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from grid_reference import draw_instance, grid_references, prox_objective
 from phi_reference import phi as phi_iterative
-from prox_reference import dual_ball_quadratic, prox_from_dual
+from prox_reference import dual_ball_quadratic, prox_from_dual, prox_q1
 from spen import (
     DEFAULT_PROX_TOL,
     SubsolverError,
@@ -186,6 +186,48 @@ def test_prox_q2_matches_reference_bit_for_bit():
             boundary += 1
     # a singular J J' with c outside its range forces the boundary
     assert interior > 300 and boundary > 300
+
+
+@st.composite
+def _q1_prox_instances(draw):
+    # a zero row takes the a == 0 branch; rho = 0 and subnormal radii pin
+    # the dual to (almost) nothing
+    n = draw(st.integers(1, 10))
+    entries = st.floats(-10.0, 10.0)
+    zero_row = draw(st.booleans())
+    j = np.zeros(n) if zero_row else draw(arrays(np.float64, n, elements=entries))
+    x, g = (draw(arrays(np.float64, n, elements=entries)) for _ in range(2))
+    c = draw(arrays(np.float64, 1, elements=entries))
+    rho = draw(st.one_of(st.just(0.0), st.floats(0.01, 100.0),
+                         st.floats(0.0, 2.2250738585072014e-308, exclude_min=True)))
+    return x, g, c, j[None], rho, draw(st.floats(0.05, 2.0))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_q1_prox_instances())
+def test_prox_q1_matches_reference_bit_for_bit(instance):
+    # the one-row kernel flattens c with ravel and fills its result without
+    # the dataclass's generated __init__; every output keeps the reference bits
+    want = prox_q1(*instance)
+    if not want[-1] <= DEFAULT_PROX_TOL:
+        with pytest.raises(SubsolverError):
+            prox_step(*instance)
+        return
+    pr = prox_step(*instance)
+    for got, ref in zip((pr.x_plus, pr.d, pr.lam, pr.p_gamma), want):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    assert pr.gap == want[-1] and np.signbit(pr.gap) == np.signbit(want[-1])
+
+
+def test_prox_result_is_still_a_frozen_dataclass():
+    pr = prox_step(np.zeros(2), np.ones(2), np.array([0.5]), np.array([[1.0, 1.0]]), 1.0, 0.5)
+    assert [f.name for f in dataclasses.fields(pr)] == ["x_plus", "d", "lam", "p_gamma", "gap"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pr.gap = 1.0
+    moved = dataclasses.replace(pr, gap=0.0)
+    assert moved.gap == 0.0 and moved.x_plus is pr.x_plus
+    assert moved == dataclasses.replace(pr, gap=0.0)
 
 
 @st.composite

@@ -482,10 +482,18 @@ class _NoNoiseDrawn(_DeclaresNoise):
         return self.value(xs_a), np.repeat(self.value(xs_b), xs_a.shape[0])
 
 
+class _UniformNoise(_DeclaresNoise):
+    def value_pair_batch(self, xs_a, xs_b, rng):
+        e = rng.uniform(-1.0, 1.0, xs_a.shape[0])
+        return self.value(xs_a) + e, self.value(xs_b) + e
+
+
 @pytest.mark.parametrize("oracle_cls, stop_index, message", [
     (_WiderNoise, 8, "where the run draws"),
     # with one iteration the unused noise shows only when the run ends
     (_NoNoiseDrawn, 1, "short of a batch"),
+    # the generator stand-in offers standard_normal alone
+    (_UniformNoise, 3, "draw by uniform"),
 ])
 def test_szo_draw_ahead_rejects_a_changed_draw_pattern(monkeypatch, oracle_cls, stop_index,
                                                        message):
