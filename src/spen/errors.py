@@ -38,8 +38,7 @@ class SteeringError(SpenError):
 class BudgetExceeded(SpenError):
     """A solver run's budget asks for more than the machine can hold.
 
-    Raised before a zeroth-order round draws anything when its draws in
-    flight (three batches if the oracle declares its draws, else one) and
-    the estimator's ``(n, m)`` work arrays would exceed physical memory;
+    Raised before a zeroth-order round allocates anything when its direction
+    buffers, work arrays and value arrays would exceed physical memory;
     the message names the outer round, ``rho``, ``m``, ``n`` and the bytes.
     """

@@ -197,9 +197,11 @@ def _build_p2(spec: TestProblemSpec, corrupt_jacobian: bool = False) -> Constrai
     _check_spec_dimension(spec, 2, 2)
     jac = _frozen((1.05 if corrupt_jacobian else 1.0) * np.array([[1.0, 1.0]]))
 
-    def fval(x):
+    def fval(x):  # in place, the bits of 0.5*sum(diff*diff)
         diff = np.asarray(x, dtype=float) - _P2_TARGET
-        return 0.5 * np.sum(diff * diff, axis=-1)
+        f = np.sum(np.multiply(diff, diff, out=diff), axis=-1)
+        f *= 0.5
+        return f
 
     def fgrad(x):
         return np.asarray(x, dtype=float) - _P2_TARGET

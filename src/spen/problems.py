@@ -93,12 +93,14 @@ class GaussianOracle:
     random numbers convention used by two-point gradient estimators.
 
     It serves both methods of the oracle contract (see
-    :class:`ConstrainedProblem`) and declares its value draws.  ``grad``
-    takes a point of shape ``(n,)``; ``value`` takes a batch of shape
-    ``(m, n)`` and returns shape ``(m,)``.  The zeroth-order estimator
-    passes that batch as a column-major view, so that numpy's loops run over
-    the long axis m; a ``value`` that sums the n entries of each row with
-    numpy may then round differently than on a C-ordered batch once n
+    :class:`ConstrainedProblem`) and declares nothing about its draws: in a
+    zeroth-order run its ``rng`` is a stream of its own, apart from the
+    estimator's directions.  ``grad`` takes a point of shape ``(n,)``;
+    ``value`` takes a batch of shape ``(m, n)`` and returns shape ``(m,)``.
+    The zeroth-order estimator passes that batch as a column-major view of a
+    buffer it reuses, valid only during the call, so that numpy's loops run
+    over the long axis m; a ``value`` that sums the n entries of each row
+    with numpy may then round differently than on a C-ordered batch once n
     reaches 8, where numpy's pairwise row sum changes order.
     """
 
@@ -149,22 +151,14 @@ class GaussianOracle:
                 raise DomainError(f"value gave shape {f.shape} on {rows} rows, expected ({rows},)")
         fa, fb = fa.reshape(m), fb.reshape(m_b)
         if self.sigma > 0.0:
-            e = self.sigma * rng.standard_normal(m)
-            fa = fa + e
+            e = rng.standard_normal(m)  # in place on e only: value's output may be shared
+            e *= self.sigma
             fb = fb + e
-        elif m_b < m:
+            e += fa
+            return e, fb
+        if m_b < m:
             fb = np.repeat(fb, m)
         return fa, fb
-
-    def value_draws(self, m: int) -> tuple[tuple[int, ...], ...] | None:
-        """Shapes of the standard-normal arrays, in drawing order, that one
-        ``value_pair_batch`` call on ``m`` pairs draws from its generator:
-        ``((m,),)`` with noise, ``()`` without.  ``None`` for a subclass
-        that overrides ``value_pair_batch``, whose draws are not known."""
-        # no saved original: a wrapper swapped into this class still counts
-        if type(self).value_pair_batch is not GaussianOracle.value_pair_batch:
-            return None
-        return ((m,),) if self.sigma > 0.0 else ()
 
 
 @dataclass(frozen=True)
@@ -190,9 +184,10 @@ class ConstrainedProblem:
     ``(q, n)`` and is exact; it may return one shared read-only ``J`` on
     every call (spen never writes to ``J``).  ``oracle`` needs only the
     method its mode calls, drawing from ``rng`` alone:
-    ``gradient_batch(x, m, rng)`` or ``value_pair_batch(xs_a, xs_b, rng)``;
-    one that also declares ``value_draws(m)``, as :class:`GaussianOracle`
-    does, has its draws made ahead.  ``true_objective`` (optional) maps a
+    ``gradient_batch(x, m, rng)`` or ``value_pair_batch(xs_a, xs_b, rng)``.
+    In zeroth-order runs that ``rng`` is the oracle's own stream, apart
+    from the estimator's directions, and ``xs_a`` is valid only during the
+    call: the solver reuses its buffer.  ``true_objective`` (optional) maps a
     point to ``(f, grad_f)`` and is used for diagnostics and certification
     only, never by the solvers.  ``x_init`` (default the origin) and ``box``
     are kept as read-only float copies, so instances are immutable and safe

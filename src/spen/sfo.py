@@ -191,7 +191,8 @@ def _solve_inner(
     budget: SolverBudget,
     stream: RandomStream,
     stop_index: int | None,
-    estimate: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    estimate: Callable[[np.ndarray, np.random.Generator | Callable[[], np.ndarray]],
+                       np.ndarray],
     calls_per_batch: int,
     draws: Callable[[np.random.Generator, int], ContextManager] | None = None,
 ) -> NscoRunResult:
@@ -200,11 +201,15 @@ def _solve_inner(
     ``estimate(x, rng)`` returns the batch gradient estimate at ``x`` and
     costs ``calls_per_batch`` oracle calls.  With the constant step every
     budget prescribes, the stopping law is uniform, so ``R`` is one integer
-    draw on ``1..N`` from ``stream.child(0)``.  Every batch of the run comes,
-    in order, from one generator on ``stream.child(1)``; a run with
-    ``stop_index=R`` therefore repeats the random-``R`` run bit for bit.
-    ``draws(generator, R)``, if given, is a context manager that the loop
-    runs in; what it yields stands in for the generator in ``estimate``.
+    draw on ``1..N`` from ``stream.child(0)``.  The first-order batches, or
+    the zeroth-order directions, come in order from one generator on
+    ``stream.child(1)`` (the zeroth-order oracle draws its value noise from
+    ``stream.child(2)``); a run with ``stop_index=R`` therefore repeats the
+    random-``R`` run bit for bit.  ``draws(generator, R)``, if given, is a
+    context manager that the loop runs in; what it yields (the zeroth-order
+    solver's zero-argument callable returning the next directions) is
+    handed to ``estimate`` in place of the generator.  Raises
+    ``DomainError`` when ``x_init`` has the wrong shape.
     """
     if rho < 0.0:
         raise ConfigError(f"penalty parameter must be >= 0, got {rho}")
@@ -218,6 +223,8 @@ def _solve_inner(
     rng = stream.child(1).generator()
     gamma = budget.gamma
     x = np.asarray(x_init, dtype=float).copy()
+    if x.shape != (problem.n,):
+        raise DomainError(f"initial point has shape {x.shape}, expected ({problem.n},)")
     with nullcontext(rng) if draws is None else draws(rng, r_stop) as rng:
         # iteration k estimates G_k at x_k; the last one is G_R at the returned x_R
         for k in range(1, r_stop + 1):

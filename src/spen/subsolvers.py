@@ -83,8 +83,13 @@ class BallSubproblemResult:
 
 
 def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D float vector, the same bits as ``np.linalg.norm``."""
-    return math.sqrt(v.dot(v))
+    """Euclidean norm of a 1-D float vector: the bits of ``np.linalg.norm`` while
+    its sum of squares is finite, and no overflow warning when it is not."""
+    s = np.vdot(v, v)  # dot's BLAS sum, without dot's check that warns on overflow
+    if math.isfinite(s) or not np.isfinite(v).all():
+        return math.sqrt(s)
+    top = float(np.abs(v).max())
+    return top * math.sqrt(np.vdot(v / top, v / top))
 
 
 def _as_jacobian(jac) -> np.ndarray:

@@ -7,25 +7,24 @@ with both evaluations sharing one noise realization.  The inner loop and
 stopping law are the first-order solver's; budgets additionally pick the
 smoothing radius ``mu`` from the oracle-call allowance.
 
-An oracle that declares its draws (``value_draws``, as ``GaussianOracle``
-does) has them drawn one batch ahead on a helper thread when a second CPU is
-usable: while iteration k evaluates values, the thread draws iteration k+1's
-directions ``(m, n)`` and the declared arrays from the run's one generator in
-the loop's own order, so every bit is unchanged (numpy draws without holding
-the interpreter lock).  Every other run uses the plain generator.  A round
-whose draws in flight and the estimator's work arrays would not fit in
-physical memory raises ``BudgetExceeded`` before it draws anything.
+A run draws its directions ``(m, n)`` from the loop's generator and the
+oracle its value noise from one of its own, as the estimator needs the two
+only to be independent.  With a second CPU, a helper thread draws the
+directions ahead (numpy draws without holding the interpreter lock), with
+unchanged bits.  Directions and work arrays live in buffers allocated once
+per run, after a check that they fit in physical memory.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from contextlib import nullcontext
 from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConfigError, DomainError
+from .errors import BudgetExceeded, ConfigError
 from .problems import ConstrainedProblem, RandomStream
 from .sfo import NscoRunResult, SolverBudget, _solve_inner
 from .stats import ExpectationEstimate, mean_estimate
@@ -51,17 +50,26 @@ def szo_gradient_batch(
         raise ConfigError(f"smoothing radius must be > 0, got {mu}")
     if m < 1:
         raise ConfigError(f"batch size must be >= 1, got {m}")
-    x = np.asarray(x, dtype=float)
-    return _two_point_mean(problem.oracle, x, mu, int(m), stream.generator())
+    x, m, rng = np.asarray(x, dtype=float), int(m), stream.generator()
+    # one generator for both roles: the directions, then the value noise
+    v = rng.standard_normal((m, x.size))
+    return _two_point_mean(problem.oracle, x, mu, v, rng, _work_arrays(m, x.size))
 
 
-def _two_point_mean(src, x: np.ndarray, mu: float, m: int, rng: np.random.Generator) -> np.ndarray:
-    # The draws are row-major (m, n) as ever, but the arithmetic runs on an
-    # (n, m) copy: with m innermost, numpy loops over m once per coordinate
-    # instead of over n once per row.  Each step rounds as the row-major
-    # formula's does, so the estimate keeps its bits.
-    v = rng.standard_normal((m, x.size)).T.copy()
-    shifted = v * mu
+def _work_arrays(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The estimator's (n, m) directions and shifted points, (m,) differences."""
+    return np.empty((n, m)), np.empty((n, m)), np.empty(m)
+
+
+def _two_point_mean(src, x: np.ndarray, mu: float, directions: np.ndarray,
+                    rng: np.random.Generator, work: tuple) -> np.ndarray:
+    # The directions are row-major (m, n), the arithmetic runs on an (n, m)
+    # copy: with m innermost, numpy loops over m once per coordinate, not over
+    # n once per row.  Each step rounds as the row-major formula's does, so
+    # the estimate keeps its bits.  Each work array is overwritten whole.
+    v, shifted, diff = work
+    np.copyto(v, directions.T)
+    np.multiply(v, mu, out=shifted)
     shifted += x[:, None]
     # one shared base row: f(x) is computed once, the ledger still counts 2m;
     # value sees the (m, n) batch as a column-major view
@@ -69,14 +77,16 @@ def _two_point_mean(src, x: np.ndarray, mu: float, m: int, rng: np.random.Genera
     if not (np.isfinite(f_shift).all() and np.isfinite(f_base).all()):
         # a NaN estimate: the loop raises naming the iteration, with no inf - inf
         return np.full(x.size, np.nan)
-    v *= (f_shift - f_base) / mu
+    np.subtract(f_shift, f_base, out=diff)
+    diff /= mu
+    v *= diff
     # the bits of the row-major mean(axis=0): numpy adds its rows one by one,
     # so a pairwise sum(axis=1) would move the last bits of the estimate,
     # except for n = 1, whose contiguous column numpy sums pairwise
     if x.size == 1:
-        return v.sum(axis=1) / m
+        return v.sum(axis=1) / diff.size
     np.add.accumulate(v, axis=1, out=v)
-    return v[:, -1] / m
+    return v[:, -1] / diff.size
 
 
 def smoothed_reference(
@@ -161,47 +171,46 @@ def solve_nsco_szo(
     The first-order solver's loop with the batch gradient replaced by the
     two-point smoothed estimator; one draw costs 2 value calls, so
     consumption is exactly ``2 * m * R``.  ``stop_index`` overrides the
-    random draw for diagnostic runs.  If the oracle declares its draws
-    (``value_draws``) and a second CPU is usable, they are drawn one batch
-    ahead on a helper thread, with unchanged bits.  Raises ``ConfigError``
-    when the budget has no smoothing radius, ``BudgetExceeded`` when the
-    run's arrays would not fit in physical memory, and ``DomainError`` when
-    a batch estimate is non-finite or the oracle draws other than it
-    declares.
+    random draw for diagnostic runs.  The oracle draws its value noise from
+    ``stream.child(2)``.  Raises ``ConfigError`` when the budget has no
+    smoothing radius, ``BudgetExceeded`` when the run's arrays would not fit
+    in physical memory, and ``DomainError`` when a batch estimate is
+    non-finite.
     """
     if budget.mu is None:
         raise ConfigError("zeroth-order runs need a budget with a smoothing radius")
-    src, m, mu = problem.oracle, budget.m, budget.mu
-    declared = getattr(src, "value_draws", lambda _: None)(m)
-    # each iteration draws its directions, then what the oracle declares
-    sizes = ((m, problem.n), *declared) if isinstance(declared, tuple) else None
-    _check_draw_memory(rho, m, problem.n, sizes)
-    ahead = sizes is not None and _spare_cpu()
-    draws = (lambda rng, batches: _BatchDraws(rng, sizes, batches)) if ahead else None
+    src, m, n, mu = problem.oracle, budget.m, problem.n, budget.mu
+    _check_draw_memory(rho, m, n)
+    work, noise, ahead = _work_arrays(m, n), stream.child(2).generator(), _spare_cpu()
+
+    def draws(rng: np.random.Generator, batches: int):
+        if ahead:
+            return _BatchDraws(rng, (m, n), batches)
+        buf = np.empty((m, n))
+        return nullcontext(lambda: rng.standard_normal((m, n), out=buf))
+
     return _solve_inner(
         problem, rho, x_init, budget, stream, stop_index,
-        lambda x, rng: _two_point_mean(src, x, mu, m, rng), 2 * m, draws,
+        lambda x, directions: _two_point_mean(src, x, mu, directions(), noise, work), 2 * m,
+        draws,
     )
 
 
 def _spare_cpu() -> bool:
     """Whether this process may run on two or more CPUs, so a draw thread
-    has one to itself.  On one CPU it would only take turns with the caller
-    (about 5 % slower on P2); where the affinity mask is not available, the
-    CPU count decides."""
+    has one to itself; on one it would only take turns with the caller."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) > 1
     return (os.cpu_count() or 1) > 1
 
 
-def _check_draw_memory(rho: float, m: int, n: int, sizes: tuple | None) -> None:
-    """Raise ``BudgetExceeded`` when a run's draws in flight, on any number
-    of CPUs, and the estimator's two ``(n, m)`` work arrays exceed physical
-    memory.  Skipped where the platform does not report that memory."""
-    # drawing ahead, three batches are alive: the caller's, the one waiting
-    # and the one being drawn
-    in_flight = ((m, n),) if sizes is None else sizes * 3
-    need = 8 * (sum(math.prod(size) for size in in_flight) + 2 * m * n)
+def _check_draw_memory(rho: float, m: int, n: int) -> None:
+    """Raise ``BudgetExceeded`` when what a run holds exceeds physical
+    memory, on any number of CPUs: three ``(m, n)`` direction buffers, the
+    estimator's two ``(n, m)`` work arrays and its ``(m,)`` differences, and
+    the three ``(m,)`` arrays of a ``GaussianOracle`` value batch.  Skipped
+    where the platform does not report that memory."""
+    need = 8 * m * (3 * n + 2 * n + 1 + 3)
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -209,78 +218,46 @@ def _check_draw_memory(rho: float, m: int, n: int, sizes: tuple | None) -> None:
     if need > physical:
         raise BudgetExceeded(
             f"zeroth-order draws at rho={rho:.6g} with m={m}, n={n} need {need} bytes "
-            f"with the estimator's work arrays, more than the {physical} bytes of "
-            f"physical memory"
+            f"with the estimator's work arrays and the oracle's values, more than the "
+            f"{physical} bytes of physical memory"
         )
 
 
 class _BatchDraws:
-    """Generator stand-in for one zeroth-order run, used as a context manager.
+    """The directions of one run, drawn ahead; a context manager.
 
-    The run draws ``batches`` batches from ``rng``, each one standard-normal
-    array per entry of ``sizes`` in that order.  A helper thread draws the
-    batches at most one batch ahead of the caller (one more waits in a
-    queue of one), and ``standard_normal(size)`` returns the next array.
-    It raises ``DomainError`` if ``size`` is not the next size of that
-    pattern, as do other generator methods and leaving a batch unfinished,
-    so a draw pattern other than the declared one fails instead of moving bits.
-    An error in the thread is raised, as the same object, by the call that
-    would have received the batch, and leaving the context stops and joins
-    the thread, so none outlives the run.
+    A helper thread draws ``batches`` standard-normal arrays of shape
+    ``size`` from ``rng``, in order, into a ring of three buffers, up to two
+    batches ahead of the caller; a call returns the next.  A buffer is drawn
+    into again only once the caller has asked for the batch after it, so
+    never while the caller reads it.  A thread error is raised, as the same
+    object, by the call that would have received the batch; leaving the
+    context stops and joins the thread.
     """
 
-    def __init__(self, rng: np.random.Generator, sizes: tuple, batches: int):
-        # imported here: a program that never draws ahead does not load the
-        # queue module
-        import queue
-        import threading
+    def __init__(self, rng: np.random.Generator, size: tuple, batches: int):
+        # imported here: a program that never draws ahead does not load it
+        from concurrent.futures import ThreadPoolExecutor
 
-        self._rng, self._sizes = rng, sizes
-        self._at = 0  # index in ``sizes`` of the next draw
-        self._batch: list = []
-        self._ready: queue.Queue = queue.Queue(maxsize=1)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._fill, args=(batches,), name="spen-szo-draws", daemon=True
-        )
+        ring = [np.empty(size) for _ in range(3)]
+        self._draw = lambda k: rng.standard_normal(size, out=ring[k % 3])
+        self._batches, self._drawn, self._ahead = batches, 0, []
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="spen-szo-draws")
 
-    def _fill(self, batches: int) -> None:
-        # only the generator runs here: spen code and its callers' hooks stay
-        # on the caller's thread
-        try:
-            for _ in range(batches):
-                if self._stop.is_set():
-                    return
-                # reversed, so that pop() hands the arrays out in drawing order
-                self._ready.put([self._rng.standard_normal(size) for size in self._sizes][::-1])
-        except BaseException as err:
-            self._ready.put(err)
+    def _draw_next(self) -> None:
+        if self._drawn < self._batches:
+            self._ahead.append(self._pool.submit(self._draw, self._drawn))
+            self._drawn += 1
 
-    def standard_normal(self, size) -> np.ndarray:
-        want = self._sizes[self._at]
-        if (size if isinstance(size, tuple) else (size,)) != want:
-            raise DomainError(f"draw of size {size} where the run draws {want}")
-        self._at = (self._at + 1) % len(self._sizes)
-        if not self._batch:
-            item = self._ready.get()
-            if isinstance(item, BaseException):
-                raise item
-            self._batch = item
-        return self._batch.pop()
-
-    def __getattr__(self, name: str):  # names the class lacks: another kind of draw
-        raise DomainError(f"draw by {name} where the run draws only standard_normal ahead")
+    def __call__(self) -> np.ndarray:
+        # the batch after next goes into the buffer the caller read last time
+        self._draw_next()
+        return self._ahead.pop(0).result()
 
     def __enter__(self) -> "_BatchDraws":
-        self._thread.start()
+        self._draw_next()
+        self._draw_next()
         return self
 
     def __exit__(self, *exc) -> None:
-        self._stop.set()
-        # with the stop set, the thread puts at most once more; emptying
-        # the queue once (only the thread fills it) lets that put through
-        if not self._ready.empty():
-            self._ready.get()
-        self._thread.join()
-        if exc[0] is None and self._at:
-            raise DomainError(f"run ended {len(self._sizes) - self._at} draws short of a batch")
+        self._pool.shutdown(cancel_futures=True)

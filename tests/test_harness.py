@@ -61,6 +61,20 @@ def test_one_point_values_have_the_bits_of_the_batch():
         assert one.tobytes() == batch.tobytes(), family
 
 
+@pytest.mark.parametrize("family", ["P2", "DEBUG-BADJAC"])
+def test_p2_value_in_place_has_the_bits_of_the_plain_expression(family):
+    prob = build_problem(TestProblemSpec(family, sigma=0.0))
+    batch = np.random.default_rng(2).uniform(-3.0, 3.0, size=(301, 2))
+    # C-ordered, column-major as the estimator passes it, strided, one point
+    for xs in (batch, np.asfortranarray(batch), batch[::3], batch[7]):
+        diff = xs - harness._P2_TARGET
+        before, want = xs.copy(), 0.5 * np.sum(diff * diff, axis=-1)
+        got = prob.oracle.value(xs)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        # the input is never written to
+        assert xs.tobytes() == before.tobytes()
+
+
 def test_p1_is_unconstrained_with_exact_trig_gradient():
     prob = build_problem(TestProblemSpec("P1", n=6, sigma=0.0))
     assert (prob.n, prob.q) == (6, 1)

@@ -330,9 +330,11 @@ def test_run_penalty_refuses_szo_draws_beyond_physical_memory():
     assert time.perf_counter() - start < 1.0
     message = str(err.value)
     assert m > 2e10
-    # three batches of (m, 2) directions and (m,) noise, and the estimator's
-    # two (2, m) work arrays, at 8 bytes a float
-    for part in ("outer round 1", "rho=2", f"m={m}", "n=2", f"{8 * m * (3 * 3 + 2 * 2)} bytes"):
+    # three (m, 2) direction buffers, the estimator's two (2, m) work arrays
+    # and its (m,) differences, and the oracle's three (m,) value arrays, at
+    # 8 bytes a float
+    need = 8 * m * (3 * 2 + 2 * 2 + 1 + 3)
+    for part in ("outer round 1", "rho=2", f"m={m}", "n=2", f"{need} bytes"):
         assert part in message
 
 

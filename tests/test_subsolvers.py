@@ -1,8 +1,10 @@
 """Tests for the prox step and the theta/phi ball subproblems."""
 
 import dataclasses
+import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -784,3 +786,25 @@ def test_factorization_memo_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors and not mismatches
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(arrays(np.float64, st.integers(1, 300),
+              elements=st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)))
+def test_norm_has_the_bits_of_the_plain_sum_of_squares(v):
+    # wherever the sum of squares is finite, the overflow-safe norm is the
+    # plain one, on contiguous and strided vectors, short and past the
+    # lengths where BLAS kernels unroll their sums
+    for w in (v, np.repeat(v, 2)[::2], np.repeat(v, 3)[1::3]):
+        assert subsolvers._norm(w).hex() == math.sqrt(w.dot(w)).hex()
+
+
+def test_norm_of_huge_finite_vectors_is_finite_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = subsolvers._norm(np.array([1e200, 1e200]))
+        top = subsolvers._norm(np.array([1e308, -1e308]))
+        assert math.isinf(subsolvers._norm(np.array([np.inf, 1e200])))
+        assert math.isnan(subsolvers._norm(np.array([np.nan, 1e200])))
+    assert huge == pytest.approx(1.4142135623730951e200, rel=1e-15)
+    assert top == pytest.approx(1.4142135623730951e308, rel=1e-15)

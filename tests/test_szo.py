@@ -20,6 +20,7 @@ from spen import (
     prox_step,
     sigma_tilde_sq,
     smoothed_reference,
+    solve_nsco_sfo,
     solve_nsco_szo,
     szo_budget,
     szo_gradient_batch,
@@ -167,17 +168,18 @@ def test_szo_solver_deterministic_and_counts():
 
 
 def test_szo_solver_matches_manual_loop():
-    # every batch of the run comes, in order, from one generator on
-    # stream.child(1): directions first, then the shared value noise
+    # the run's directions come, in order, from one generator on
+    # stream.child(1), and the shared value noise from the oracle's own
+    # generator on stream.child(2)
     prob = _quad_problem([1.0, 2.0], sigma=0.1)
     budget = SolverBudget(n_bar=40, m=4, gamma=0.5, L=2.0, mu=0.05)
     stream = RandomStream(12)
     res = solve_nsco_szo(prob, 1.5, np.array([1.0, -1.0]), budget, stream, stop_index=7)
-    rng = stream.child(1).generator()
+    rng, noise = stream.child(1).generator(), stream.child(2).generator()
 
     def batch(x):
         v = rng.standard_normal((4, 2))
-        f_shift, f_base = prob.oracle.value_pair_batch(x + 0.05 * v, np.tile(x, (4, 1)), rng)
+        f_shift, f_base = prob.oracle.value_pair_batch(x + 0.05 * v, np.tile(x, (4, 1)), noise)
         return (((f_shift - f_base) / 0.05)[:, None] * v).mean(axis=0)
 
     x = np.array([1.0, -1.0])
@@ -187,6 +189,17 @@ def test_szo_solver_matches_manual_loop():
         x = prox_step(x, g, c, jac, 1.5, 0.5).x_plus
     assert np.array_equal(res.x_R, x)
     assert np.array_equal(res.G_R, batch(x))
+
+
+def test_solvers_reject_an_initial_point_of_the_wrong_shape():
+    # the zeroth-order work arrays are shaped by the problem, so a point of
+    # another size is refused before the first batch, in both modes
+    prob = _quad_problem([1.0, 2.0], sigma=0.1)
+    budget = SolverBudget(n_bar=40, m=4, gamma=0.5, L=2.0, mu=0.05)
+    for solve in (solve_nsco_szo, solve_nsco_sfo):
+        for x_init in (np.ones(3), np.ones(1), np.ones((2, 1))):
+            with pytest.raises(DomainError, match=r"initial point has shape .*expected \(2,\)"):
+                solve(prob, 1.0, x_init, budget, RandomStream(0), stop_index=2)
 
 
 def test_szo_batch_evaluates_shared_base_once():
@@ -287,7 +300,7 @@ def _draw_ahead_problem(value, sigma=0.1, oracle_cls=GaussianOracle, n=2):
 
 
 def _helper_alive():
-    return any(t.name == "spen-szo-draws" for t in threading.enumerate())
+    return any(t.name.startswith("spen-szo-draws") for t in threading.enumerate())
 
 
 def _quad_value(xs):
@@ -351,10 +364,10 @@ class _ScriptedGenerator:
     def integers(self, *args, **kwargs):
         return self.inner.integers(*args, **kwargs)
 
-    def standard_normal(self, size):
+    def standard_normal(self, size, out=None):
         self.draws += 1
         self.hook(self.draws)
-        return self.inner.standard_normal(size)
+        return self.inner.standard_normal(size, out=out)
 
 
 def _script_generators(monkeypatch, hook):
@@ -368,15 +381,17 @@ def test_szo_draw_ahead_stops_its_thread_on_a_domain_error(monkeypatch, helper):
     monkeypatch.setattr(szo, "_spare_cpu", lambda: True)
     baseline = threading.active_count()
     blocked = helper == "blocked on the full queue"
-    # two draws per batch: from the fourth batch on, each draw is slow
-    _script_generators(monkeypatch, lambda draw: None if blocked or draw < 7 else time.sleep(0.2))
+    # each generator draws once per batch: from the fourth batch on, each
+    # draw is slow (the oracle's fourth noise draw never comes)
+    _script_generators(monkeypatch, lambda draw: None if blocked or draw < 4 else time.sleep(0.2))
     calls = []
 
     def value(xs):
         calls.append(_helper_alive())
         if len(calls) > 4:
             if blocked:
-                # let the helper run ahead until it blocks on the full queue
+                # let the helper run ahead until it has drawn the two
+                # batches it may and waits for the caller
                 time.sleep(0.05)
             return np.full(np.shape(xs)[0], np.inf)
         return _quad_value(xs)
@@ -396,7 +411,8 @@ def test_szo_draw_ahead_raises_the_thread_error_in_the_caller(monkeypatch):
     raised, where = MemoryError("no room for the batch"), []
 
     def hook(draw):
-        # the third normal draw, iteration 2's directions, fails
+        # the third draw of a generator fails: the helper's, iteration 3's
+        # directions, before the caller's third noise draw
         if draw == 3:
             where.append(threading.current_thread().name)
             raise raised
@@ -407,7 +423,7 @@ def test_szo_draw_ahead_raises_the_thread_error_in_the_caller(monkeypatch):
         _draw_ahead_problem(_quad_value), 1.0, np.ones(2), budget, RandomStream(0),
         stop_index=8))
     assert err is raised
-    assert where == ["spen-szo-draws"]
+    assert len(where) == 1 and where[0].startswith("spen-szo-draws")
     assert threading.active_count() == baseline
 
 
@@ -420,7 +436,7 @@ class _UniformNoise(GaussianOracle):
 
 
 class _DuckOracle:
-    """Only the method a zeroth-order run calls: no ``sigma``, no ``value_draws``."""
+    """Only the method a zeroth-order run calls, and no ``sigma``."""
 
     def __init__(self, value, sigma):
         self.fn, self.noise = value, sigma
@@ -431,10 +447,11 @@ class _DuckOracle:
 
 
 @pytest.mark.parametrize("oracle_cls", [_UniformNoise, _DuckOracle])
-def test_szo_runs_oracles_that_declare_no_draws_on_the_plain_generator(monkeypatch, oracle_cls):
-    # an oracle that does not declare its draws is never drawn ahead: on any
-    # number of CPUs it gets the run's generator, with the bits of a loop
-    # written against that generator
+def test_szo_draws_custom_oracles_ahead_with_the_bits_of_one_cpu(monkeypatch, oracle_cls):
+    # the oracle draws from a generator of its own, so whatever it draws, a
+    # run on two CPUs draws the directions ahead and has the bits of a run
+    # on one CPU and of a loop written against the two generators
+    baseline = threading.active_count()
     seen = []
 
     def value(xs):
@@ -444,11 +461,11 @@ def test_szo_runs_oracles_that_declare_no_draws_on_the_plain_generator(monkeypat
     prob = _draw_ahead_problem(value, oracle_cls=oracle_cls)
     budget = SolverBudget(n_bar=400, m=50, gamma=0.5, L=2.0, mu=0.05)
     stream = RandomStream(4)
-    rng = stream.child(1).generator()
+    rng, noise = stream.child(1).generator(), stream.child(2).generator()
 
     def batch(x):
         v = rng.standard_normal((50, 2))
-        f_shift, f_base = prob.oracle.value_pair_batch(x + 0.05 * v, x[None], rng)
+        f_shift, f_base = prob.oracle.value_pair_batch(x + 0.05 * v, x[None], noise)
         return (((f_shift - f_base) / 0.05)[:, None] * v).mean(axis=0)
 
     x = np.ones(2)
@@ -459,52 +476,30 @@ def test_szo_runs_oracles_that_declare_no_draws_on_the_plain_generator(monkeypat
         monkeypatch.setattr(szo, "_spare_cpu", lambda spare=spare: spare)
         seen.clear()
         res = solve_nsco_szo(prob, 1.0, np.ones(2), budget, stream, stop_index=6)
-        assert len(seen) == 2 * 6 and not any(seen)
+        assert len(seen) == 2 * 6 and any(seen) == spare
+        assert threading.active_count() == baseline
         assert res.x_R.tobytes() == x.tobytes()
         assert res.G_R.tobytes() == g.tobytes()
 
 
-class _DeclaresNoise(GaussianOracle):
-    """Declares ``GaussianOracle``'s noise draw whatever it draws."""
-
-    def value_draws(self, m):
-        return ((m,),)
-
-
-class _WiderNoise(_DeclaresNoise):
-    def value_pair_batch(self, xs_a, xs_b, rng):
-        rng.standard_normal(xs_a.shape[0] + 1)
-        return super().value_pair_batch(xs_a, xs_b, rng)
-
-
-class _NoNoiseDrawn(_DeclaresNoise):
-    def value_pair_batch(self, xs_a, xs_b, rng):
-        return self.value(xs_a), np.repeat(self.value(xs_b), xs_a.shape[0])
-
-
-class _UniformNoise(_DeclaresNoise):
-    def value_pair_batch(self, xs_a, xs_b, rng):
-        e = rng.uniform(-1.0, 1.0, xs_a.shape[0])
-        return self.value(xs_a) + e, self.value(xs_b) + e
-
-
-@pytest.mark.parametrize("oracle_cls, stop_index, message", [
-    (_WiderNoise, 8, "where the run draws"),
-    # with one iteration the unused noise shows only when the run ends
-    (_NoNoiseDrawn, 1, "short of a batch"),
-    # the generator stand-in offers standard_normal alone
-    (_UniformNoise, 3, "draw by uniform"),
-])
-def test_szo_draw_ahead_rejects_a_changed_draw_pattern(monkeypatch, oracle_cls, stop_index,
-                                                       message):
-    # drawn ahead, an oracle that draws other than it declares would
-    # silently move bits, so the run fails instead, with a SpenError that a
-    # study records
-    monkeypatch.setattr(szo, "_spare_cpu", lambda: True)
-    baseline = threading.active_count()
-    prob = _draw_ahead_problem(_quad_value, oracle_cls=oracle_cls)
-    budget = SolverBudget(n_bar=40, m=4, gamma=0.5, L=2.0, mu=0.05)
-    err = _raised_by(lambda: solve_nsco_szo(
-        prob, 1.0, np.ones(2), budget, RandomStream(0), stop_index=stop_index))
-    assert isinstance(err, DomainError) and message in str(err)
-    assert threading.active_count() == baseline
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+def test_two_point_mean_on_reused_work_arrays_matches_fresh_arrays(n, sigma):
+    # 50 consecutive batches share one set of work arrays, first filled with
+    # NaN, as a run does; each must have the bits of the row-major formula on
+    # fresh arrays, so nothing a batch leaves in a buffer reaches the next
+    m, mu = 40, 0.05
+    oracle = GaussianOracle(value=lambda xs: 0.5 * (xs**2).sum(axis=-1) - np.cos(xs).sum(axis=-1),
+                            sigma=sigma)
+    work = szo._work_arrays(m, n)
+    for a in work:
+        a.fill(np.nan)
+    points = np.random.default_rng(n).uniform(-2.0, 2.0, size=(50, n))
+    reused, fresh = np.random.default_rng(1), np.random.default_rng(1)
+    for k, x in enumerate(points):
+        got = szo._two_point_mean(oracle, x, mu, reused.standard_normal((m, n)), reused, work)
+        v = fresh.standard_normal((m, n))
+        # value sees a column-major batch in both, so its row sums agree at n = 10
+        fa, fb = oracle.value_pair_batch(np.asfortranarray(x + mu * v), x[None], fresh)
+        want = (((fa - fb) / mu)[:, None] * v).mean(axis=0)
+        assert got.tobytes() == want.tobytes(), k
