@@ -105,10 +105,9 @@ def _sweep_output_path(base: str, epsilon: float) -> str:
 
 
 def _cmd_sweep(config: RunConfig) -> int:
-    if len(config.epsilons) < 3:
-        raise ConfigError(
-            f"sweep needs >= 3 accuracy levels for a slope fit, got {list(config.epsilons)}"
-        )
+    if len(set(config.epsilons)) < 3:
+        raise ConfigError(f"sweep needs >= 3 distinct accuracy levels for a slope fit, "
+                          f"got {list(config.epsilons)}")
     problem = build_problem(config.problem)
     root = RandomStream(seed=config.seed)
     points = []

@@ -537,11 +537,11 @@ def slope_fit(points: list[tuple[float, float]]) -> SlopeFit:
     """Fit ``log(calls) = intercept + slope*log(1/epsilon)`` by least squares.
 
     A pure power law ``calls = c * epsilon^(-p)`` yields ``slope = p`` with
-    ``r2 = 1``.
+    ``r2 = 1``.  Needs at least 3 distinct accuracies.
     """
-    if len(points) < 3:
-        raise ConfigError(f"slope fit needs >= 3 points, got {len(points)}")
     eps = np.array([p[0] for p in points], dtype=float)
+    if np.unique(eps).size < 3:
+        raise ConfigError(f"slope fit needs >= 3 distinct accuracies, got {eps.tolist()}")
     calls = np.array([p[1] for p in points], dtype=float)
     if np.any(eps <= 0.0) or np.any(calls <= 0.0):
         raise ConfigError("slope fit needs positive accuracies and call counts")

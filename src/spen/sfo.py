@@ -14,9 +14,8 @@ gradient at the returned iterate at most ``epsilon``.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, ContextManager
+from typing import Callable
 
 import numpy as np
 
@@ -173,10 +172,12 @@ def batch_gradient(
     m: int,
     stream: RandomStream,
 ) -> np.ndarray:
-    """Arithmetic mean of ``m`` independent gradient oracle samples at ``x``."""
+    """Mean of ``m`` gradient samples at ``x``, drawn as iteration 1 of
+    :func:`solve_nsco_sfo` on ``stream``: that run's ``G_R`` at ``R = 1``."""
     if m < 1:
         raise ConfigError(f"batch size must be >= 1, got {m}")
-    return _batch_mean(problem.oracle, np.asarray(x, dtype=float), int(m), stream.generator())
+    x, rng = np.asarray(x, dtype=float), stream.child(1).generator()
+    return _batch_mean(problem.oracle, x, int(m), rng)
 
 
 def _batch_mean(src, x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -184,67 +185,54 @@ def _batch_mean(src, x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndar
     return np.add.reduce(src.gradient_batch(x, m, rng), 0) / m
 
 
+def _stop_index(budget: SolverBudget, stream: RandomStream, stop_index: int | None) -> int:
+    """The stopping index ``R``: one uniform integer draw on ``1..N`` from
+    ``stream.child(0)`` (the constant step every budget prescribes makes the
+    stopping law uniform), or ``stop_index`` checked against the horizon."""
+    n_iters = budget.iterations
+    if stop_index is None:
+        return int(stream.child(0).generator().integers(1, n_iters + 1))
+    r_stop = int(stop_index)
+    if not 1 <= r_stop <= n_iters:
+        raise ConfigError(f"stop index {r_stop} outside horizon 1..{n_iters}")
+    return r_stop
+
+
 def _solve_inner(
     problem: ConstrainedProblem,
     rho: float,
     x_init: np.ndarray,
-    budget: SolverBudget,
-    stream: RandomStream,
-    stop_index: int | None,
-    estimate: Callable[[np.ndarray, np.random.Generator | Callable[[], np.ndarray]],
-                       np.ndarray],
-    calls_per_batch: int,
-    draws: Callable[[np.random.Generator, int], ContextManager] | None = None,
-) -> NscoRunResult:
+    gamma: float,
+    r_stop: int,
+    estimate: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
     """Inner loop shared by the first- and zeroth-order solvers.
 
-    ``estimate(x, rng)`` returns the batch gradient estimate at ``x`` and
-    costs ``calls_per_batch`` oracle calls.  With the constant step every
-    budget prescribes, the stopping law is uniform, so ``R`` is one integer
-    draw on ``1..N`` from ``stream.child(0)``.  The first-order batches, or
-    the zeroth-order directions, come in order from one generator on
-    ``stream.child(1)`` (the zeroth-order oracle draws its value noise from
-    ``stream.child(2)``); a run with ``stop_index=R`` therefore repeats the
-    random-``R`` run bit for bit.  ``draws(generator, R)``, if given, is a
-    context manager that the loop runs in; what it yields (the zeroth-order
-    solver's zero-argument callable returning the next directions) is
-    handed to ``estimate`` in place of the generator.  Raises
-    ``DomainError`` when ``x_init`` has the wrong shape.
+    Runs ``r_stop`` iterations from ``x_init`` and returns ``(x_R, G_R)``;
+    ``estimate(x)`` returns the batch gradient estimate at ``x`` from the
+    draws it owns.  Raises ``ConfigError`` for a negative ``rho`` and
+    ``DomainError`` when ``x_init`` has the wrong shape or an estimate is
+    misshapen or non-finite.
     """
     if rho < 0.0:
         raise ConfigError(f"penalty parameter must be >= 0, got {rho}")
-    n_iters = budget.iterations
-    if stop_index is None:
-        r_stop = int(stream.child(0).generator().integers(1, n_iters + 1))
-    else:
-        r_stop = int(stop_index)
-        if not 1 <= r_stop <= n_iters:
-            raise ConfigError(f"stop index {r_stop} outside horizon 1..{n_iters}")
-    rng = stream.child(1).generator()
-    gamma = budget.gamma
     x = np.asarray(x_init, dtype=float).copy()
     if x.shape != (problem.n,):
         raise DomainError(f"initial point has shape {x.shape}, expected ({problem.n},)")
-    with nullcontext(rng) if draws is None else draws(rng, r_stop) as rng:
-        # iteration k estimates G_k at x_k; the last one is G_R at the returned x_R
-        for k in range(1, r_stop + 1):
-            grad_est = estimate(x, rng)
-            if grad_est.shape != x.shape:
-                raise DomainError(f"batch gradient estimate at inner iteration {k} has shape "
-                                  f"{grad_est.shape}, expected {x.shape}")
-            # a fifth of the cost of np.isfinite(grad_est).all() on a short vector
-            if not all(map(math.isfinite, grad_est.tolist())):
-                raise DomainError(f"batch gradient estimate is non-finite at inner iteration {k}")
-            if k == r_stop:
-                break
-            c, jac = eval_constraints(problem, x)
-            x = prox_step(x, grad_est, c, jac, rho, gamma).x_plus
-    return NscoRunResult(
-        x_R=x,
-        G_R=grad_est,
-        R=r_stop,
-        oracle_calls=calls_per_batch * r_stop,
-    )
+    # iteration k estimates G_k at x_k; the last one is G_R at the returned x_R
+    for k in range(1, r_stop + 1):
+        grad_est = estimate(x)
+        if grad_est.shape != x.shape:
+            raise DomainError(f"batch gradient estimate at inner iteration {k} has shape "
+                              f"{grad_est.shape}, expected {x.shape}")
+        # a fifth of the cost of np.isfinite(grad_est).all() on a short vector
+        if not all(map(math.isfinite, grad_est.tolist())):
+            raise DomainError(f"batch gradient estimate is non-finite at inner iteration {k}")
+        if k == r_stop:
+            break
+        c, jac = eval_constraints(problem, x)
+        x = prox_step(x, grad_est, c, jac, rho, gamma).x_plus
+    return x, grad_est
 
 
 def solve_nsco_sfo(
@@ -260,12 +248,14 @@ def solve_nsco_sfo(
     Draws the stopping index ``R`` uniformly on the horizon, performs
     ``R - 1`` mini-batch gradient and prox-step iterations, then evaluates
     one extra batch at the returned iterate so that ``G_R`` matches
-    ``x_R``.  Oracle consumption is exactly ``m * R`` calls.
+    ``x_R``.  The batches come in order from one generator on
+    ``stream.child(1)``.  Oracle consumption is exactly ``m * R`` calls.
     ``stop_index`` overrides the random draw for diagnostic runs.  Raises
     ``DomainError`` when a batch estimate is non-finite.
     """
     src, m = problem.oracle, budget.m
-    return _solve_inner(
-        problem, rho, x_init, budget, stream, stop_index,
-        lambda x, rng: _batch_mean(src, x, m, rng), m,
-    )
+    r_stop = _stop_index(budget, stream, stop_index)
+    rng = stream.child(1).generator()
+    x_r, g_r = _solve_inner(problem, rho, x_init, budget.gamma, r_stop,
+                            lambda x: _batch_mean(src, x, m, rng))
+    return NscoRunResult(x_R=x_r, G_R=g_r, R=r_stop, oracle_calls=m * r_stop)

@@ -7,9 +7,9 @@ with both evaluations sharing one noise realization.  The inner loop and
 stopping law are the first-order solver's; budgets additionally pick the
 smoothing radius ``mu`` from the oracle-call allowance.
 
-A run draws its directions ``(m, n)`` from the loop's generator and the
-oracle its value noise from one of its own, as the estimator needs the two
-only to be independent.  With a second CPU, a helper thread draws the
+A run draws its directions ``(m, n)`` from ``stream.child(1)`` and the
+oracle its value noise from ``stream.child(2)``, as the estimator needs the
+two only to be independent.  With a second CPU, a helper thread draws the
 directions ahead (numpy draws without holding the interpreter lock), with
 unchanged bits.  Directions and work arrays live in buffers allocated once
 per run, after a check that they fit in physical memory.
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ConfigError
 from .problems import ConstrainedProblem, RandomStream
-from .sfo import NscoRunResult, SolverBudget, _solve_inner
+from .sfo import NscoRunResult, SolverBudget, _solve_inner, _stop_index
 from .stats import ExpectationEstimate, mean_estimate
 
 __all__ = [
@@ -45,15 +45,16 @@ def szo_gradient_batch(
     m: int,
     stream: RandomStream,
 ) -> np.ndarray:
-    """Mean of ``m`` two-point draws at ``x``; consumes ``2*m`` value calls."""
+    """Mean of ``m`` two-point draws at ``x`` (``2*m`` value calls), drawn as
+    iteration 1 of :func:`solve_nsco_szo` on ``stream``: its ``G_R`` at ``R = 1``."""
     if mu <= 0.0:
         raise ConfigError(f"smoothing radius must be > 0, got {mu}")
     if m < 1:
         raise ConfigError(f"batch size must be >= 1, got {m}")
-    x, m, rng = np.asarray(x, dtype=float), int(m), stream.generator()
-    # one generator for both roles: the directions, then the value noise
-    v = rng.standard_normal((m, x.size))
-    return _two_point_mean(problem.oracle, x, mu, v, rng, _work_arrays(m, x.size))
+    x, m = np.asarray(x, dtype=float), int(m)
+    v = stream.child(1).generator().standard_normal((m, x.size))
+    return _two_point_mean(problem.oracle, x, mu, v, stream.child(2).generator(),
+                           _work_arrays(m, x.size))
 
 
 def _work_arrays(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -72,8 +73,10 @@ def _two_point_mean(src, x: np.ndarray, mu: float, directions: np.ndarray,
     np.multiply(v, mu, out=shifted)
     shifted += x[:, None]
     # one shared base row: f(x) is computed once, the ledger still counts 2m;
-    # value sees the (m, n) batch as a column-major view
-    f_shift, f_base = src.value_pair_batch(shifted.T, x[None], rng)
+    # value sees the (m, n) batch as a column-major view.  A value that
+    # overflows comes back inf, which the check below turns into a NaN estimate
+    with np.errstate(over="ignore"):
+        f_shift, f_base = src.value_pair_batch(shifted.T, x[None], rng)
     if not (np.isfinite(f_shift).all() and np.isfinite(f_base).all()):
         # a NaN estimate: the loop raises naming the iteration, with no inf - inf
         return np.full(x.size, np.nan)
@@ -171,29 +174,27 @@ def solve_nsco_szo(
     The first-order solver's loop with the batch gradient replaced by the
     two-point smoothed estimator; one draw costs 2 value calls, so
     consumption is exactly ``2 * m * R``.  ``stop_index`` overrides the
-    random draw for diagnostic runs.  The oracle draws its value noise from
-    ``stream.child(2)``.  Raises ``ConfigError`` when the budget has no
-    smoothing radius, ``BudgetExceeded`` when the run's arrays would not fit
-    in physical memory, and ``DomainError`` when a batch estimate is
-    non-finite.
+    random draw for diagnostic runs.  The directions are drawn ahead by a
+    helper thread when a second CPU is usable, else in the caller.  Raises
+    ``ConfigError`` when the budget has no smoothing radius,
+    ``BudgetExceeded`` when the run's arrays would not fit in physical
+    memory, and ``DomainError`` when a batch estimate is non-finite.
     """
     if budget.mu is None:
         raise ConfigError("zeroth-order runs need a budget with a smoothing radius")
     src, m, n, mu = problem.oracle, budget.m, problem.n, budget.mu
     _check_draw_memory(rho, m, n)
-    work, noise, ahead = _work_arrays(m, n), stream.child(2).generator(), _spare_cpu()
-
-    def draws(rng: np.random.Generator, batches: int):
-        if ahead:
-            return _BatchDraws(rng, (m, n), batches)
+    r_stop = _stop_index(budget, stream, stop_index)
+    rng, noise, work = stream.child(1).generator(), stream.child(2).generator(), _work_arrays(m, n)
+    if _spare_cpu():
+        source = _BatchDraws(rng, (m, n), r_stop)
+    else:
         buf = np.empty((m, n))
-        return nullcontext(lambda: rng.standard_normal((m, n), out=buf))
-
-    return _solve_inner(
-        problem, rho, x_init, budget, stream, stop_index,
-        lambda x, directions: _two_point_mean(src, x, mu, directions(), noise, work), 2 * m,
-        draws,
-    )
+        source = nullcontext(lambda: rng.standard_normal((m, n), out=buf))
+    with source as directions:
+        x_r, g_r = _solve_inner(problem, rho, x_init, budget.gamma, r_stop,
+                                lambda x: _two_point_mean(src, x, mu, directions(), noise, work))
+    return NscoRunResult(x_R=x_r, G_R=g_r, R=r_stop, oracle_calls=2 * m * r_stop)
 
 
 def _spare_cpu() -> bool:

@@ -129,9 +129,13 @@ def test_sweep_fits_slope(tmp_path, capsys):
 
 
 def test_sweep_rejects_short_grid(tmp_path, capsys):
-    cfg = _write(tmp_path, P1_FAST + "epsilons = 0.4, 0.2\n")
-    assert main(["sweep", "--config", cfg]) == 2
-    assert "sweep needs >= 3" in capsys.readouterr().err
+    # before any study runs: one accuracy three times has no slope either
+    for grid in ("0.4, 0.2", "0.4, 0.4, 0.4"):
+        cfg = _write(tmp_path, P1_FAST + f"epsilons = {grid}\n")
+        assert main(["sweep", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "sweep needs >= 3 distinct accuracy levels" in captured.err
+        assert "epsilon=" not in captured.out
 
 
 def test_validate_passes_on_healthy_problem(tmp_path, capsys):

@@ -365,6 +365,13 @@ def test_slope_fit_validation():
         slope_fit([(0.4, 10.0), (0.2, 20.0), (-0.1, 30.0)])
     with pytest.raises(ConfigError):
         slope_fit([(0.4, 10.0), (0.2, 0.0), (0.1, 30.0)])
+    # points at fewer than three accuracies have no slope; numpy would fit one
+    with pytest.raises(ConfigError, match="3 distinct accuracies"):
+        slope_fit([(0.4, 100.0), (0.4, 120.0), (0.4, 90.0)])
+    with pytest.raises(ConfigError, match="3 distinct accuracies"):
+        slope_fit([(0.4, 100.0), (0.2, 120.0), (0.4, 90.0), (0.2, 95.0)])
+    fit = slope_fit([(0.4, 100.0), (0.2, 400.0), (0.2, 400.0), (0.1, 1600.0)])
+    assert abs(fit.slope - 2.0) < 1e-12
 
 
 def _random_records(rng, count):

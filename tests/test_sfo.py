@@ -171,6 +171,22 @@ def test_batch_gradient_exact_and_deterministic():
         batch_gradient(prob, np.ones(2), 0, RandomStream(0))
 
 
+@pytest.mark.parametrize("spec", [TestProblemSpec("P1", n=1, sigma=0.1),
+                                  TestProblemSpec("P2", sigma=0.1),
+                                  TestProblemSpec("P3", sigma=0.1)],
+                         ids=["P1-n1", "P2", "P3"])
+def test_batch_gradient_is_iteration_one_of_the_solver(spec):
+    # the public estimator draws as the solver's first iteration does, so it
+    # is the G_R of a run stopped at R = 1, bit for bit
+    prob = build_problem(spec)
+    budget = SolverBudget(n_bar=200, m=20, gamma=0.5, L=2.0)
+    for seed in range(3):
+        stream = RandomStream(seed, (5,))
+        got = batch_gradient(prob, prob.x_init, budget.m, stream)
+        res = solve_nsco_sfo(prob, 1.0, prob.x_init, budget, stream, stop_index=1)
+        assert got.tobytes() == res.G_R.tobytes()
+
+
 def test_solver_deterministic_given_stream():
     prob = _free_problem(sigma=0.4)
     budget = sfo_budget(0.5, 2.0, 1.0, 0.4)

@@ -14,10 +14,14 @@ from spen import (
     ConstrainedProblem,
     DomainError,
     GaussianOracle,
+    PenaltyConfig,
     ProblemConstants,
     RandomStream,
     SolverBudget,
+    TestProblemSpec,
+    build_problem,
     prox_step,
+    run_penalty,
     sigma_tilde_sq,
     smoothed_reference,
     solve_nsco_sfo,
@@ -61,7 +65,7 @@ def test_two_point_sample_linear_exact():
     prob = _linear_problem(a, sigma=1.5)
     stream = RandomStream(4, (2,))
     got = szo_gradient_batch(prob, np.zeros(3), 0.1, 1, stream)
-    v = stream.generator().standard_normal(3)
+    v = stream.child(1).generator().standard_normal(3)
     assert np.allclose(got, (a @ v) * v, atol=1e-10)
 
 
@@ -91,12 +95,42 @@ def test_batch_matches_manual_draws():
     prob = _linear_problem(a, sigma=0.0)
     stream = RandomStream(6, (3,))
     got = szo_gradient_batch(prob, np.zeros(2), 0.2, 10, stream)
-    rng = stream.generator()
-    v = rng.standard_normal((10, 2))
+    v = stream.child(1).generator().standard_normal((10, 2))
     want = (((v @ a))[:, None] * v).mean(axis=0)
     assert np.allclose(got, want, atol=1e-12)
     with pytest.raises(ConfigError):
         szo_gradient_batch(prob, np.zeros(2), 0.2, 0, stream)
+
+
+@pytest.mark.parametrize("spec", [TestProblemSpec("P1", n=1, sigma=0.1),
+                                  TestProblemSpec("P2", sigma=0.1),
+                                  TestProblemSpec("P3", sigma=0.1)],
+                         ids=["P1-n1", "P2", "P3"])
+def test_szo_gradient_batch_is_iteration_one_of_the_solver(monkeypatch, spec):
+    # the public estimator draws as the solver's first iteration does, with
+    # the directions drawn ahead or in the caller: the G_R of a run stopped
+    # at R = 1, bit for bit
+    prob = build_problem(spec)
+    budget = SolverBudget(n_bar=400, m=50, gamma=0.5, L=2.0, mu=0.05)
+    for spare in (True, False):
+        monkeypatch.setattr(szo, "_spare_cpu", lambda spare=spare: spare)
+        for seed in range(3):
+            stream = RandomStream(seed, (5,))
+            got = szo_gradient_batch(prob, prob.x_init, budget.mu, budget.m, stream)
+            res = solve_nsco_szo(prob, 1.0, prob.x_init, budget, stream, stop_index=1)
+            assert got.tobytes() == res.G_R.tobytes()
+
+
+@pytest.mark.parametrize("family, x_init", [("P2", [1e200, 0.0]), ("P3", [1e100, 0.0, 0.0])],
+                         ids=["P2", "P3"])
+def test_szo_run_from_an_overflowing_point_raises_domain_error(family, x_init):
+    # P2's squares and P3's fourth powers overflow to inf there; the estimator
+    # takes the inf values without a RuntimeWarning (an error in this suite),
+    # and the loop raises on the non-finite estimate
+    prob = replace(build_problem(TestProblemSpec(family, sigma=0.1)), x_init=np.array(x_init))
+    config = PenaltyConfig(epsilon=0.9, max_outer=2, oracle_mode="szo")
+    with pytest.raises(DomainError, match="non-finite at inner iteration 1"):
+        run_penalty(prob, config, RandomStream(7))
 
 
 def test_smoothed_reference_quadratic_offset():
@@ -254,9 +288,9 @@ def test_szo_batch_matches_row_major_reference():
             got = szo_gradient_batch(prob, x, mu, m, stream)
             # m + 1 evaluated rows: the shared base row once
             assert shapes == [(m, n), (1, n)]
-            rng = stream.generator()
-            v = rng.standard_normal((m, n))
-            fa, fb = prob.oracle.value_pair_batch(x + mu * v, x[None], rng)
+            v = stream.child(1).generator().standard_normal((m, n))
+            noise = stream.child(2).generator()
+            fa, fb = prob.oracle.value_pair_batch(x + mu * v, x[None], noise)
             assert np.array_equal(got, (((fa - fb) / mu)[:, None] * v).mean(axis=0))
 
 
