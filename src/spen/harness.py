@@ -2,18 +2,19 @@
 studies of the penalty method, complexity-slope measurement, and CSV
 persistence of run records.
 
-:func:`monte_carlo` is the one replication runner: :func:`run_study`, and
-through it ``spen certify`` and ``spen sweep``, run their replications with
-it.  It runs them in forked worker processes, one per usable CPU, and
-assembles every result in replication order, so the output has the same
-bits as a run in one process.  Side effects of a replication that runs in
-a worker, such as writes to the caller's objects, stay in the worker and
-are not visible to the caller.
+:func:`monte_carlo` and :func:`run_study` (and through it ``spen certify``
+and ``spen sweep``) run replications on one pool: forked worker processes,
+one per usable CPU, each on its own share of the CPUs.  Every result is
+assembled in replication order, so the output has the same bits as a run
+in one process.  Side effects of a replication that runs in a worker, such
+as writes to the caller's objects, stay in the worker and are not visible
+to the caller.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, SpenError
 from .penalty import CriticalityCertificate, PenaltyConfig, PenaltyRunResult, RunRecord
-from .penalty import certificate_from_estimates, run_penalty
+from .penalty import _run_lockstep, certificate_from_estimates, run_penalty
 from .problems import (
     ConstrainedProblem,
     GaussianOracle,
@@ -385,14 +386,56 @@ def build_problem(spec: TestProblemSpec) -> ConstrainedProblem:
     return problem
 
 
-# The ``(run_fn, stream, track)`` of the study a forked worker serves, set by
-# the pool's initializer: None in every process that is not a worker.
-_worker_study: tuple | None = None
+# The task a forked worker serves, set by the pool's initializer: None in
+# every process that is not a worker.
+_worker_task: Callable[[Any], Any] | None = None
 
 
-def _init_worker(*study: Any) -> None:
-    global _worker_study
-    _worker_study = study
+def _init_worker(task: Callable[[Any], Any], shares: Any) -> None:
+    """Store the worker's task and narrow its CPU affinity to the next of
+    ``shares``, so what it runs sees only the CPUs that are its own."""
+    global _worker_task
+    _worker_task = task
+    os.sched_setaffinity(0, shares.get())
+
+
+def _run_in_worker(item: Any) -> Any:
+    return _worker_task(item)
+
+
+def _worker_count(reps: int) -> int:
+    """Processes to run ``reps`` replications on: one per usable CPU, at most
+    ``reps``.  1 (run in this process) where fork or the CPU affinity mask
+    is unavailable, and inside a worker, which starts no pool of its own."""
+    if _worker_task is not None or not all(
+        hasattr(os, name) for name in ("fork", "sched_getaffinity", "sched_setaffinity")
+    ):
+        return 1
+    return min(len(os.sched_getaffinity(0)), reps)
+
+
+def _pool_map(task: Callable[[Any], Any], items: list, workers: int) -> list:
+    """``[task(item) for item in items]``, on ``workers`` forked processes
+    when there are two or more.  Each worker takes the next item as it
+    finishes one and runs on its own share of this process's CPUs, the
+    shares as equal as can be; every worker has exited when the call
+    returns or raises."""
+    if workers == 1:
+        return [task(item) for item in items]
+    # imported here: a caller that never runs a study does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    cpus = sorted(os.sched_getaffinity(0))
+    shares = context.SimpleQueue()
+    for w in range(workers):
+        shares.put(set(cpus[w * len(cpus) // workers:(w + 1) * len(cpus) // workers]))
+    # fork, not spawn: the workers inherit the task and what it closes over
+    # (the problem, lambdas, closures), which need not pickle
+    with ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker,
+                             initargs=(task, shares)) as pool:
+        return list(pool.map(_run_in_worker, items, chunksize=1))
 
 
 def _run_replication(
@@ -410,21 +453,6 @@ def _run_replication(
         return None, None, f"{type(err).__name__}: {err}"
 
 
-def _run_in_worker(rep: int) -> tuple[Any, dict[str, float] | None, str | None]:
-    return _run_replication(*_worker_study, rep)
-
-
-def _worker_count(reps: int) -> int:
-    """Processes to run ``reps`` replications on: one per usable CPU, at most
-    ``reps``.  1 (run in this process) where fork or the CPU affinity mask
-    is unavailable, and inside a worker, which starts no pool of its own."""
-    if _worker_study is not None or not all(
-        hasattr(os, name) for name in ("fork", "sched_getaffinity")
-    ):
-        return 1
-    return min(len(os.sched_getaffinity(0)), reps)
-
-
 def monte_carlo(
     run_fn: Callable[[int, RandomStream], Any],
     reps: int,
@@ -439,42 +467,37 @@ def monte_carlo(
     from names to scalars (by default the return value is that mapping).
     Replications are submitted in ``order`` (default ascending) to forked
     worker processes, one per usable CPU, which take the next replication
-    as they finish one.  With one usable CPU, where fork is unavailable, or
-    inside a worker, they run in this process in ``order``.  Aggregation
-    always iterates replication ids in ascending order, so the estimates
-    are bit-identical under any execution order and any number of workers.
-    What ``run_fn`` returns must pickle, and its side effects must not be
-    relied on: in a worker they do not reach the caller.  Failed
-    replications are recorded with the error's type and message and
-    skipped; the result is flagged partial when more than 5% fail.  A
-    failure is a ``SpenError`` or a numeric error: a
-    ``ValueError`` (which covers ``LinAlgError`` and math domain errors such
-    as ``math.sqrt(-1)`` in a user oracle) or an ``ArithmeticError``.
-    Programming errors such as ``TypeError`` propagate.  Every worker has
-    exited when the call returns or raises.
+    as they finish one; each worker runs on its own share of the CPUs.
+    With one usable CPU, where fork is unavailable, or inside a worker,
+    they run in this process in ``order``.  Aggregation always iterates
+    replication ids in ascending order, so the estimates are bit-identical
+    under any execution order and any number of workers.  What ``run_fn``
+    returns must pickle, and its side effects must not be relied on: in a
+    worker they do not reach the caller.  Failed replications are recorded
+    with the error's type and message and skipped; the result is flagged
+    partial when more than 5% fail.  A failure is a ``SpenError`` or a
+    numeric error: a ``ValueError`` (which covers ``LinAlgError`` and math
+    domain errors such as ``math.sqrt(-1)`` in a user oracle) or an
+    ``ArithmeticError``.  Programming errors such as ``TypeError``
+    propagate.  Every worker has exited when the call returns or raises.
     """
-    if reps < 30:
-        raise ConfigError(f"replication study needs reps >= 30, got {reps}")
+    _check_reps(reps)
     schedule = list(range(reps)) if order is None else list(order)
     if sorted(schedule) != list(range(reps)):
         raise ConfigError("execution order must be a permutation of range(reps)")
-    workers = _worker_count(reps)
-    if workers == 1:
-        outcomes = [_run_replication(run_fn, stream, track, rep) for rep in schedule]
-    else:
-        # imported here: a caller that never runs a study does not pay for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    task = functools.partial(_run_replication, run_fn, stream, track)
+    return _collect(reps, schedule, _pool_map(task, schedule, _worker_count(reps)))
 
-        # fork, not spawn: the workers inherit run_fn and the problem it
-        # closes over, which need not pickle (lambdas, closures)
-        with ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(run_fn, stream, track),
-        ) as pool:
-            outcomes = list(pool.map(_run_in_worker, schedule, chunksize=1))
+
+def _check_reps(reps: int) -> None:
+    if reps < 30:
+        raise ConfigError(f"replication study needs reps >= 30, got {reps}")
+
+
+def _collect(reps: int, schedule: list[int], outcomes: list[tuple]) -> MonteCarloResult:
+    """The ``MonteCarloResult`` of replications ``schedule``, whose
+    ``_run_replication`` outcomes are ``outcomes``, aggregated in ascending
+    replication id."""
     values: dict[int, Any] = {}
     tracked: dict[int, dict[str, float]] = {}
     failures: list[tuple[int, str]] = []
@@ -513,24 +536,66 @@ def _study_scalars(result: PenaltyRunResult) -> dict[str, float]:
     }
 
 
+# The code of the library's run_penalty, kept apart from the function: a
+# tracer that rebinds every module attribute holding run_penalty leaves it,
+# so run_study can tell a substitute by its code
+_RUN_PENALTY_CODE = run_penalty.__code__
+
+
 def run_study(
     problem: ConstrainedProblem, config: PenaltyConfig, reps: int, stream: RandomStream
 ) -> StudyResult:
     """Run :func:`run_penalty` as replication ``rep`` on ``stream.child(rep)``
-    for each ``rep < reps`` through :func:`monte_carlo`.  Records and the
-    multiplier mean are assembled in ascending replication id, like the
-    estimates, so the result has the same bits under any execution order."""
+    for each ``rep < reps``, and certify the estimates.
+
+    A first-order study of a problem with one constraint row runs its
+    replications in lockstep groups, one group per worker of the pool that
+    :func:`monte_carlo` would start (the whole study in this process where it
+    would run there): a group's rounds move together and its inner
+    iterations take one stacked prox step (``penalty._run_lockstep``).  A
+    replication that fails or leaves its group runs again alone, through
+    ``run_penalty``, so ``failures`` holds that call's message.  Other
+    studies, and any study while this module's ``run_penalty`` is not the
+    library's own (a test's or a tracer's substitute), run one
+    ``run_penalty`` per replication through ``monte_carlo``.  Either way
+    records and the multiplier mean are assembled in ascending replication
+    id, like the estimates, so the result has the same bits under any
+    execution order, grouping and number of workers."""
 
     def run_fn(rep: int, rep_stream: RandomStream) -> PenaltyRunResult:
         return run_penalty(problem, config, rep_stream, replication=rep)
 
-    mc = monte_carlo(run_fn, reps, stream, track=_study_scalars)
+    lockstep = (config.oracle_mode == "sfo" and problem.q == 1
+                and getattr(run_penalty, "__code__", None) is _RUN_PENALTY_CODE)
+    if lockstep:
+        _check_reps(reps)
+        workers = _worker_count(reps)
+        groups = [list(range(w, reps, workers)) for w in range(workers)]
+        task = functools.partial(_run_group, problem, config, stream, run_fn)
+        outcomes = [out for group in _pool_map(task, groups, workers) for out in group]
+        mc = _collect(reps, [rep for group in groups for rep in group], outcomes)
+    else:
+        mc = monte_carlo(run_fn, reps, stream, track=_study_scalars)
     runs = list(mc.values.values())
     lam_mean = np.mean(np.stack([run.certificate.lam for run in runs]), axis=0)
     certificate = certificate_from_estimates(
         config.epsilon, mc.estimates["crit_sq"], mc.estimates["theta"], lam_mean, reps
     )
     return StudyResult(certificate, mc, [r for run in runs for r in run.records])
+
+
+def _run_group(
+    problem: ConstrainedProblem,
+    config: PenaltyConfig,
+    stream: RandomStream,
+    run_fn: Callable[[int, RandomStream], PenaltyRunResult],
+    group: list[int],
+) -> list[tuple]:
+    """The ``_run_replication`` outcomes of the replications in ``group``,
+    run in lockstep; one that comes back None runs again through ``run_fn``."""
+    runs = _run_lockstep(problem, config, [stream.child(rep) for rep in group], group)
+    return [_run_replication(run_fn, stream, _study_scalars, rep) if run is None
+            else (run, _study_scalars(run), None) for rep, run in zip(group, runs)]
 
 
 def slope_fit(points: list[tuple[float, float]]) -> SlopeFit:

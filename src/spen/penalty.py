@@ -11,7 +11,7 @@ import numpy as np
 from .errors import BudgetExceeded, ConfigError, SteeringError, SubsolverError
 from .problems import ConstrainedProblem, ProblemConstants, RandomStream, eval_constraints
 # batch_gradient is unused here; test_installed_rebinds_every_namespace_and_restores reads it
-from .sfo import SolverBudget, batch_gradient, sfo_budget, solve_nsco_sfo  # noqa: F401
+from .sfo import SolverBudget, _solve_rows, batch_gradient, sfo_budget, solve_nsco_sfo  # noqa: F401
 from .stats import ExpectationEstimate
 from .subsolvers import DEFAULT_MEASURE_TOL, phi, prox_step, theta
 from .szo import szo_budget, solve_nsco_szo
@@ -401,50 +401,10 @@ def _stationarity(
     return float(resid @ resid), lam, c, jac
 
 
-def run_penalty(
-    problem: ConstrainedProblem,
-    config: PenaltyConfig,
-    stream: RandomStream,
-    replication: int = 0,
-) -> PenaltyRunResult:
-    """Run the penalty method with stochastic first- or zeroth-order oracles.
-
-    Each outer round steers the penalty level at the current iterate,
-    sizes the inner budget for that level at accuracy ``epsilon/4``, and
-    runs the inner composite solver on the penalty subproblem.  The loop
-    performs ``max_outer - 1`` rounds, or stops after the first round
-    whose level reaches ``rho_bar`` when early stopping is enabled and the
-    constants needed for the threshold are available.
-
-    Parameters
-    ----------
-    problem : ConstrainedProblem
-        Instance to solve; its constants must cover the budget formulas of
-        the selected oracle mode.
-    config : PenaltyConfig
-        Outer-loop settings.
-    stream : RandomStream
-        Root randomness; round ``k`` consumes the child stream ``k``, so
-        runs are reproducible and independent across replications.
-    replication : int, optional
-        Replication id stamped into the run records.
-
-    Returns
-    -------
-    PenaltyRunResult
-        Final state, a single-run certificate at the final iterate, one
-        record per round, and the closed-form bound data when available.
-
-    Notes
-    -----
-    Records carry the steering-time measures; the certificate re-evaluates
-    theta and the stationarity residual at the returned iterate, using the
-    exact objective gradient when the problem exposes one and the final
-    inner gradient estimate otherwise.  The first round steers with a zero
-    gradient estimate, which makes it accept the minimal increase.
-    """
-    if not isinstance(config, PenaltyConfig):
-        raise ConfigError("run_penalty needs a PenaltyConfig")
+def _outer_loop(problem: ConstrainedProblem, config: PenaltyConfig, replication: int):
+    """The outer loop of one run, as a generator: it yields each round's
+    inner solve as ``(k, rho, x, budget)``, takes that solve's
+    ``NscoRunResult`` back, and returns the ``PenaltyRunResult``."""
     constants = problem.constants
     state = PenaltyState(
         k=0,
@@ -453,7 +413,6 @@ def run_penalty(
         rho=config.rho0,
     )
     bound = _outer_bound_or_none(config, constants)
-    solver = solve_nsco_sfo if config.oracle_mode == "sfo" else solve_nsco_szo
     records: list[RunRecord] = []
     crossed = False
     gamma_last = math.nan
@@ -470,10 +429,7 @@ def run_penalty(
             d1_tilde=config.d1_tilde,
             d2_tilde=config.d2_tilde,
         )
-        try:
-            res = solver(problem, state.rho, state.x, budget, stream.child(k))
-        except BudgetExceeded as err:
-            raise BudgetExceeded(f"outer round {k}: {err}") from None
+        res = yield k, state.rho, state.x, budget
         state.k = k
         state.x = res.x_R
         state.G = res.G_R
@@ -514,3 +470,107 @@ def run_penalty(
         bound=bound,
         crossed_rho_bar=crossed,
     )
+
+
+def run_penalty(
+    problem: ConstrainedProblem,
+    config: PenaltyConfig,
+    stream: RandomStream,
+    replication: int = 0,
+) -> PenaltyRunResult:
+    """Run the penalty method with stochastic first- or zeroth-order oracles.
+
+    Each outer round steers the penalty level at the current iterate,
+    sizes the inner budget for that level at accuracy ``epsilon/4``, and
+    runs the inner composite solver on the penalty subproblem.  The loop
+    performs ``max_outer - 1`` rounds, or stops after the first round
+    whose level reaches ``rho_bar`` when early stopping is enabled and the
+    constants needed for the threshold are available.
+
+    Parameters
+    ----------
+    problem : ConstrainedProblem
+        Instance to solve; its constants must cover the budget formulas of
+        the selected oracle mode.
+    config : PenaltyConfig
+        Outer-loop settings.
+    stream : RandomStream
+        Root randomness; round ``k`` consumes the child stream ``k``, so
+        runs are reproducible and independent across replications.
+    replication : int, optional
+        Replication id stamped into the run records.
+
+    Returns
+    -------
+    PenaltyRunResult
+        Final state, a single-run certificate at the final iterate, one
+        record per round, and the closed-form bound data when available.
+
+    Notes
+    -----
+    Records carry the steering-time measures; the certificate re-evaluates
+    theta and the stationarity residual at the returned iterate, using the
+    exact objective gradient when the problem exposes one and the final
+    inner gradient estimate otherwise.  The first round steers with a zero
+    gradient estimate, which makes it accept the minimal increase.  The
+    run ignores floating-point overflow, in its own code and in the
+    problem's callables: an overflow comes out inf, which a finite check
+    then turns into a ``SpenError`` such as ``DomainError``.
+    """
+    if not isinstance(config, PenaltyConfig):
+        raise ConfigError("run_penalty needs a PenaltyConfig")
+    solver = solve_nsco_sfo if config.oracle_mode == "sfo" else solve_nsco_szo
+    rounds = _outer_loop(problem, config, replication)
+    with np.errstate(over="ignore"):
+        try:
+            k, rho, x, budget = next(rounds)
+            while True:
+                try:
+                    res = solver(problem, rho, x, budget, stream.child(k))
+                except BudgetExceeded as err:
+                    raise BudgetExceeded(f"outer round {k}: {err}") from None
+                k, rho, x, budget = rounds.send(res)
+        except StopIteration as done:
+            return done.value
+
+
+def _run_lockstep(
+    problem: ConstrainedProblem,
+    config: PenaltyConfig,
+    streams: list[RandomStream],
+    replications: list[int],
+) -> list[PenaltyRunResult | None]:
+    """:func:`run_penalty` on each ``(streams[i], replications[i])``, with
+    the rounds of all the runs moving together.
+
+    For a first-order run of a problem with one constraint row.  Each run
+    keeps its own outer loop (steering, budget, records, certificate); the
+    inner solves of a round run in lockstep through :func:`_solve_rows`.
+    Entry ``i`` has the bits of ``run_penalty``'s result, or is None where
+    run ``i`` raised or left the lockstep: its caller runs it alone, and so
+    gets what ``run_penalty`` raises, if anything.
+    """
+    loops = [_outer_loop(problem, config, rep) for rep in replications]
+    results: list[PenaltyRunResult | None] = [None] * len(loops)
+    pending: dict[int, tuple] = {}
+
+    def advance(i, res):
+        try:
+            pending[i] = loops[i].send(res)
+        except StopIteration as done:
+            results[i] = done.value
+        except Exception:  # left to run_penalty, which raises it again
+            pass
+
+    with np.errstate(over="ignore"):  # run_penalty's error state
+        for i in range(len(loops)):
+            advance(i, None)
+        while pending:
+            live, requests = list(pending), list(pending.values())
+            pending.clear()
+            solved = _solve_rows(problem, [(rho, x, budget, streams[i].child(k))
+                                           for i, (k, rho, x, budget) in zip(live, requests)])
+            for i, res in zip(live, solved):
+                if res is not None:
+                    advance(i, res)
+    return results

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .problems import ConstrainedProblem, RandomStream, eval_constraints
-from .subsolvers import prox_step
+from .subsolvers import _prox_rows, prox_step
 
 __all__ = [
     "SolverBudget",
@@ -259,3 +259,144 @@ def solve_nsco_sfo(
     x_r, g_r = _solve_inner(problem, rho, x_init, budget.gamma, r_stop,
                             lambda x: _batch_mean(src, x, m, rng))
     return NscoRunResult(x_R=x_r, G_R=g_r, R=r_stop, oracle_calls=m * r_stop)
+
+
+def _fits(a, shape: tuple) -> bool:
+    """Whether ``a`` is a finite float64 array of ``shape``."""
+    return (isinstance(a, np.ndarray) and a.shape == shape and a.dtype == np.float64
+            and bool(np.isfinite(a).all()))
+
+
+def _batch_means(batches: list, ms: list[int]) -> np.ndarray | list:
+    """``_batch_mean``'s means of the rows' ``batches`` of ``ms`` draws.
+
+    One stacked reduction when every batch is a C-ordered float64 ndarray
+    of one shape ``(m, n)`` and every row has the same ``m``: numpy then sums
+    each row's batch in the order it sums the batch alone, so row ``i`` has
+    the bits of ``_batch_mean``.  Otherwise a list of one mean per batch,
+    None where a batch has none.
+    """
+    if ms and ms.count(ms[0]) == len(ms) and all(
+            type(b) is np.ndarray and b.flags.c_contiguous for b in batches):
+        stacked = np.array(batches)
+        if stacked.dtype == np.float64 and stacked.ndim == 3:
+            return np.add.reduce(stacked, 1) / ms[0]
+    means = []
+    for b, m in zip(batches, ms):
+        try:
+            means.append(np.add.reduce(b, 0) / m)
+        except Exception:
+            means.append(None)
+    return means
+
+
+def _solve_rows(
+    problem: ConstrainedProblem,
+    rounds: list[tuple[float, np.ndarray, SolverBudget, RandomStream]],
+) -> list[NscoRunResult | None]:
+    """:func:`solve_nsco_sfo` on several rounds ``(rho, x_init, budget,
+    stream)`` of a problem with one constraint row, in lockstep.
+
+    Each round is a row with its own stopping index ``R`` from
+    ``stream.child(0)``, its own batches of its own ``m`` from
+    ``stream.child(1)``, its own ``rho`` and its own step.  An inner
+    iteration draws one oracle batch and makes one raw constraint call per
+    row, takes the batch means (:func:`_batch_means`), checks shapes and
+    finiteness once on the stacked arrays (a Jacobian that every row's call
+    returned as the same object is stacked and checked once), and takes the
+    prox steps in one :func:`_prox_rows`; a row drops out at its ``R``, and
+    the last two rows finish in the scalar loop, ``_solve_inner``.
+    Entry ``i`` of the result has the bits of ``solve_nsco_sfo`` on round
+    ``i``.  It is None where round ``i`` raised, failed a check, or gave
+    output the stacked checks do not take (arrays that are not float64,
+    say): the caller runs that round alone.
+    """
+    n, src, cons = problem.n, problem.oracle, problem.constraints
+    draw = src.gradient_batch
+    results: list[NscoRunResult | None] = [None] * len(rounds)
+    rows = []
+    for i, (rho, x_init, budget, stream) in enumerate(rounds):
+        x0 = np.asarray(x_init, dtype=float)
+        if rho >= 0.0 and x0.shape == (n,):
+            rows.append((_stop_index(budget, stream, None), i, budget.m,
+                         stream.child(1).generator(), x0, rho, budget.gamma))
+    # in descending R: the rows that go on past an iteration lead the stack
+    rows.sort(key=lambda row: -row[0])
+    columns = [list(col) for col in zip(*rows)] or [[] for _ in range(7)]
+    r_stop, ids, ms, rngs, x0s, rho, gamma = columns
+    x = np.array(x0s).reshape(len(ids), n)
+    moving, k = len(ids), 0
+    while ids:
+        if len(ids) <= 2:
+            # for one or two rows the stacked step costs more than it saves:
+            # they finish in the scalar loop, with the same bits from here on
+            for r, i, m, rng, x_j, rho_j, gamma_j in zip(r_stop, ids, ms, rngs, x, rho, gamma):
+                try:
+                    x_r, g_r = _solve_inner(problem, rho_j, x_j, gamma_j, r - k,
+                                            lambda x, m=m, rng=rng: _batch_mean(src, x, m, rng))
+                    results[i] = NscoRunResult(x_R=x_r, G_R=g_r, R=r, oracle_calls=m * r)
+                except Exception:  # left to the round's own run, as below
+                    pass
+            break
+        k += 1
+        while moving and r_stop[moving - 1] == k:
+            moving -= 1
+        batches, cs, jacs = [], [], []
+        for x_j, m, rng in zip(x, ms, rngs[:moving]):
+            try:  # an error is left to the round's own run, which raises it again
+                b = draw(x_j, m, rng)
+                c, jac = cons(x_j)
+            except Exception:
+                b = c = jac = None
+            batches.append(b)
+            cs.append(c)
+            jacs.append(jac)
+        for x_j, m, rng in zip(x[moving:], ms[moving:], rngs[moving:]):
+            try:
+                batches.append(draw(x_j, m, rng))
+            except Exception:
+                batches.append(None)
+        # what overflows or turns NaN here only fails that row's checks
+        with np.errstate(all="ignore"):
+            ests = _batch_means(batches, ms)
+            try:
+                # a None from an error, or unequal shapes, fail here or below
+                g_all, c_all = np.asarray(ests), np.array(cs)
+                shared = moving and all(jac is jacs[0] for jac in jacs)
+                j_all = np.asarray(jacs[0])[None] if shared else np.array(jacs)
+                # a float sum of the entries is finite only if every entry is
+                stacked = (g_all.shape == (len(ids), n)
+                           and (not moving or c_all.shape == (moving, 1)
+                                and j_all.shape == (1 if shared else moving, 1, n))
+                           and g_all.dtype == c_all.dtype == j_all.dtype == np.float64
+                           and math.isfinite(sum(g_all.ravel().tolist())
+                                             + sum(c_all.ravel().tolist())
+                                             + sum(j_all.ravel().tolist())))
+            except Exception:  # anything np.array refuses is checked row by row
+                stacked = False
+            if not stacked:
+                ests = list(ests)
+                keep = [j for j in range(len(ids)) if _fits(ests[j], (n,))
+                        and (j >= moving or _fits(cs[j], (1,)) and _fits(jacs[j], (1, n)))]
+                r_stop, ids, ms, rngs, rho, gamma, ests = (
+                    [col[j] for j in keep] for col in (r_stop, ids, ms, rngs, rho, gamma, ests))
+                cs, jacs = ([col[j] for j in keep if j < moving] for col in (cs, jacs))
+                x, moving = x[keep], len(cs)
+                g_all = np.array(ests).reshape(len(ids), n)
+                c_all = np.array(cs).reshape(moving, 1)
+                j_all = np.array(jacs).reshape(moving, 1, n)
+            if moving < len(ids):
+                for j in range(moving, len(ids)):
+                    results[ids[j]] = NscoRunResult(x_R=x[j].copy(), G_R=g_all[j].copy(), R=k,
+                                                    oracle_calls=ms[j] * k)
+                if not moving:
+                    break
+                del r_stop[moving:], ids[moving:], ms[moving:], rngs[moving:]
+                del rho[moving:], gamma[moving:]
+                x, g_all = x[:moving], g_all[:moving]
+            x, _, _, ok = _prox_rows(x, g_all, c_all, j_all, rho, gamma)
+        if False in ok:
+            r_stop, ids, ms, rngs, rho, gamma = ([v for v, good in zip(col, ok) if good]
+                                                 for col in (r_stop, ids, ms, rngs, rho, gamma))
+            x, moving = x[ok], len(ids)
+    return results

@@ -309,6 +309,49 @@ def prox_step(
     return ProxResult(np.asarray(x, dtype=float) + d, d, lam, p_gamma, gap)
 
 
+def _prox_rows(
+    x: np.ndarray,
+    g: np.ndarray,
+    c: np.ndarray,
+    jac: np.ndarray,
+    rho: list[float],
+    gamma: list[float],
+) -> tuple[np.ndarray, np.ndarray, list[float], list[bool]]:
+    """:func:`prox_step` with one constraint row, on a stack of instances.
+
+    Row ``i`` of ``x`` and ``g`` ``(B, n)``, ``c`` ``(B, 1)`` and ``jac``
+    ``(B, 1, n)``, with ``rho[i] >= 0`` and ``gamma[i] > 0``, is one call's
+    input; a ``jac`` of shape ``(1, 1, n)`` is every row's.  Returns
+    ``(x_plus, lam, gap, ok)``: ``ok[i]`` tells whether that call returns,
+    its gap within ``DEFAULT_PROX_TOL`` as ``_check_gap`` requires, and where
+    it does, row ``i`` of ``x_plus``, of ``lam`` ``(B, 1)`` and ``gap[i]``
+    have the bits of its result.  Such a call warns at most of an overflow.
+    Call this under ``np.errstate(all="ignore")``: a row whose call would
+    raise can overflow or produce a NaN here.
+    """
+    # (B,1,n) @ (B,n,1) is one BLAS dot per row, the bits of j.dot(v); the
+    # scalars are prox_step's own float arithmetic, row by row
+    c = c.ravel().tolist()
+    jj = (jac @ jac.transpose(0, 2, 1)).ravel().tolist()
+    if len(jj) < len(c):
+        jj *= len(c)
+    lam = []
+    for jj_i, jg_i, c0, r, gm in zip(jj, (jac @ g[:, :, None]).ravel().tolist(), c, rho,
+                                     gamma):
+        a, b = gm * jj_i, c0 - gm * jg_i
+        if a > 0.0:
+            q = b / a
+            q = -r if -r > q else q  # max(q, -r)
+            lam.append(r if r < q else q)  # min(q, r)
+        else:
+            lam.append(math.copysign(r, b) if b != 0.0 else 0.0)
+    lam_col = np.array(lam).reshape(-1, 1)
+    d = np.array([-gm for gm in gamma]).reshape(-1, 1) * (g + lam_col * jac[:, 0])
+    t = [c0 + jd for c0, jd in zip(c, (jac @ d[:, :, None]).ravel().tolist())]
+    gap = [r * abs(t_i) - lam0 * t_i for t_i, lam0, r in zip(t, lam, rho)]
+    return x + d, lam_col, gap, [gap_i <= DEFAULT_PROX_TOL for gap_i in gap]
+
+
 def _theta_q1(c: np.ndarray, jac: np.ndarray) -> BallSubproblemResult:
     # single constraint: the inner product ranges over [-||j||, ||j||]
     j = jac[0]

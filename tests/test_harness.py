@@ -1,5 +1,7 @@
 """Tests for problem families, replication harness, slope fits, and CSV I/O."""
 
+import dataclasses
+import functools
 import math
 import multiprocessing
 import os
@@ -10,9 +12,12 @@ import numpy as np
 import pytest
 
 import spen.cli
-from spen import harness
+import spen.penalty
+from spen import harness, szo
 from spen import (
     ConfigError,
+    DomainError,
+    GaussianOracle,
     PenaltyConfig,
     RandomStream,
     RunRecord,
@@ -299,6 +304,124 @@ def test_study_in_workers_matches_in_process(monkeypatch):
     assert pooled.records == local.records
     assert pooled.certificate.lam.tobytes() == local.certificate.lam.tobytes()
     assert pooled.mc.estimates == local.mc.estimates
+
+
+class _FailingOracle(GaussianOracle):
+    """The wrapped oracle's draws, except in two replications of a study on
+    ``RandomStream(seed)``, told apart by their generators' spawn keys
+    ``(replication, round, 1)``: replication 7 raises in round ``last``, and
+    replication 11's batches in round 1 are NaN once it has left ``x_init``."""
+
+    def __init__(self, inner, x_init, last):
+        vars(self).update(vars(inner))
+        self.x_init, self.last = x_init, last
+
+    def gradient_batch(self, x, m, rng):
+        key = rng.bit_generator.seed_seq.spawn_key[:2]
+        if key == (7, self.last):
+            raise DomainError("synthetic failure in replication 7")
+        batch = super().gradient_batch(x, m, rng)
+        if key == (11, 1) and not np.array_equal(x, self.x_init):
+            batch[:] = np.nan
+        return batch
+
+
+@pytest.mark.parametrize("family, in_process", [
+    ("P1", False), ("P2", False), ("P2", True), ("P3", False), ("DEBUG-BADJAC", False)])
+def test_lockstep_study_matches_the_reference_bit_for_bit(family, in_process, monkeypatch):
+    # a first-order study runs in lockstep groups; substituting run_penalty
+    # sends it through monte_carlo, one run_penalty per replication. Both
+    # give the same failures, records, iterates, gradients and certificates.
+    # P3's sphere constraint has an x-dependent Jacobian; it runs one round,
+    # whose horizon of 62,433 inner iterations sigma 0.03 and these bounds
+    # cut to 779
+    rounds = 1 if family == "P3" else 2
+    prob = build_problem(TestProblemSpec(family, sigma=0.03 if family == "P3" else 0.1))
+    if family == "P3":
+        prob = dataclasses.replace(prob, constants=dataclasses.replace(
+            prob.constants, kappa_f=0.1, kappa_c=0.05, f_low=0.0))
+    prob = dataclasses.replace(prob, oracle=_FailingOracle(prob.oracle, prob.x_init, rounds))
+    config = PenaltyConfig(epsilon=0.9, max_outer=rounds + 1)
+    if in_process:
+        monkeypatch.setattr(harness, "_worker_count", lambda reps: 1)
+    lockstep = harness.run_study(prob, config, 30, RandomStream(5))
+    own = harness.run_penalty
+    monkeypatch.setattr(harness, "run_penalty", lambda *args, **kwargs: own(*args, **kwargs))
+    reference = harness.run_study(prob, config, 30, RandomStream(5))
+    assert lockstep.mc.failures == reference.mc.failures == [
+        (7, "DomainError: synthetic failure in replication 7"),
+        (11, "DomainError: batch gradient estimate is non-finite at inner iteration 2"),
+    ]
+    assert lockstep.records == reference.records
+    assert list(lockstep.mc.values) == list(reference.mc.values)
+    for got, want in zip(lockstep.mc.values.values(), reference.mc.values.values()):
+        assert got.state.x.tobytes() == want.state.x.tobytes()
+        assert got.state.G.tobytes() == want.state.G.tobytes()
+        assert got.state.oracle_calls == want.state.oracle_calls
+        assert got.certificate.lam.tobytes() == want.certificate.lam.tobytes()
+        assert got.certificate.crit_sq == want.certificate.crit_sq
+        assert got.certificate.theta == want.certificate.theta
+    assert lockstep.certificate.lam.tobytes() == reference.certificate.lam.tobytes()
+    assert lockstep.mc.estimates == reference.mc.estimates
+    assert lockstep.certificate.verdict == reference.certificate.verdict
+
+
+def test_rows_the_lockstep_refuses_run_alone_with_the_same_bits(monkeypatch):
+    # a constraint value of shape (1, 1) is fine for eval_constraints, which
+    # flattens it, but not for the stacked checks: every round leaves its
+    # group and runs through run_penalty, and the study keeps its bits
+    base = build_problem(TestProblemSpec("P2", sigma=0.1))
+    prob = dataclasses.replace(base, constraints=lambda x: (
+        base.constraints(x)[0].reshape(1, 1), base.constraints(x)[1]))
+    config = PenaltyConfig(epsilon=0.9, max_outer=3)
+    alone, run_replication = [], harness._run_replication
+    monkeypatch.setattr(harness, "_worker_count", lambda reps: 1)
+    monkeypatch.setattr(harness, "_run_replication",
+                        lambda *args: alone.append(args[3]) or run_replication(*args))
+    lockstep = harness.run_study(prob, config, 30, RandomStream(4))
+    assert alone == list(range(30))
+    plain = harness.run_study(base, config, 30, RandomStream(4))
+    assert lockstep.records == plain.records and not lockstep.mc.failures
+    assert lockstep.certificate.lam.tobytes() == plain.certificate.lam.tobytes()
+
+
+def test_lockstep_applies_only_to_the_librarys_own_run_penalty(monkeypatch):
+    # a substitute is told by its code, whatever name holds it: rebinding
+    # every attribute that holds run_penalty, as a tracer does, leaves the
+    # library's code object behind
+    prob = build_problem(TestProblemSpec("P2", sigma=0.1))
+    config = PenaltyConfig(epsilon=0.9, max_outer=3)
+    groups = []
+    run_lockstep = harness._run_lockstep
+    monkeypatch.setattr(harness, "_run_lockstep",
+                        lambda *args: groups.append(args[3]) or run_lockstep(*args))
+    monkeypatch.setattr(harness, "_worker_count", lambda reps: 1)
+    harness.run_study(prob, config, 30, RandomStream(2))
+    assert groups == [list(range(30))]
+    own = harness.run_penalty
+    traced = functools.wraps(own)(lambda *args, **kwargs: own(*args, **kwargs))
+    for mod in (spen, spen.penalty, harness):
+        monkeypatch.setattr(mod, "run_penalty", traced)
+    harness.run_study(prob, config, 30, RandomStream(2))
+    assert groups == [list(range(30))]
+
+
+@pytest.mark.skipif(harness._worker_count(30) < 2, reason="needs two usable CPUs")
+def test_each_worker_runs_on_its_own_share_of_the_cpus():
+    # a worker sees only its share of the CPUs, so its zeroth-order solves
+    # start a draw thread only where that share has two or more
+    cpus = len(os.sched_getaffinity(0))
+    workers = harness._worker_count(30)
+
+    def run(rep, stream):
+        return {"cpus": float(len(os.sched_getaffinity(0))), "spare": float(szo._spare_cpu())}
+
+    res = monte_carlo(run, 30, RandomStream(0))
+    for value in res.values.values():
+        assert cpus // workers <= value["cpus"] <= -(-cpus // workers)
+        assert value["spare"] == float(value["cpus"] >= 2)
+    assert res.estimates["cpus"].mean * workers <= cpus + workers
+    assert len(os.sched_getaffinity(0)) == cpus
 
 
 @pytest.mark.skipif(harness._worker_count(30) < 2, reason="needs two usable CPUs")

@@ -1,5 +1,6 @@
 """Tests for the penalty outer loop: steering, budgets, bounds, certification."""
 
+import dataclasses
 import math
 import time
 
@@ -12,6 +13,7 @@ from spen import (
     BudgetExceeded,
     ConfigError,
     ConstrainedProblem,
+    DomainError,
     GaussianOracle,
     PenaltyConfig,
     PenaltyState,
@@ -336,6 +338,18 @@ def test_run_penalty_refuses_szo_draws_beyond_physical_memory():
     need = 8 * m * (3 * 2 + 2 * 2 + 1 + 3)
     for part in ("outer round 1", "rho=2", f"m={m}", "n=2", f"{need} bytes"):
         assert part in message
+
+
+@pytest.mark.parametrize("mode", ["sfo", "szo"])
+def test_run_penalty_from_a_point_where_p3s_constraint_overflows_raises_domain_error(mode):
+    # x @ x overflows at (1e200, 0, 0) when the first round steers; the run
+    # ignores overflow, so c comes out inf and the constraint check raises a
+    # DomainError instead of a RuntimeWarning (an error in this suite)
+    prob = build_problem(TestProblemSpec("P3", sigma=0.1))
+    prob = dataclasses.replace(prob, x_init=np.array([1e200, 0.0, 0.0]))
+    config = PenaltyConfig(epsilon=0.9, max_outer=2, oracle_mode=mode)
+    with pytest.raises(DomainError, match="constraint component 0 is non-finite"):
+        run_penalty(prob, config, RandomStream(7))
 
 
 def test_run_penalty_without_exact_objective_uses_surrogate():

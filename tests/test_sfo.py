@@ -29,6 +29,7 @@ from spen import (
     solve_nsco_szo,
     stopping_pmf,
 )
+from spen import sfo
 from spen.problems import eval_constraints
 
 
@@ -358,3 +359,33 @@ def test_solver_takes_integer_gradient_samples():
     res = solve_nsco_sfo(prob, 1.0, np.ones(2), budget, RandomStream(0), stop_index=3)
     assert res.G_R.dtype == np.float64 and np.array_equal(res.G_R, [1.0, 1.0])
     assert np.array_equal(res.x_R, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_solve_rows_match_solve_nsco_sfo_row_by_row(rows):
+    # lockstep rounds on P3 (x-dependent Jacobian) with their own rho, step,
+    # batch size and stream; one or two rows finish in the scalar loop. The
+    # round whose oracle raises comes back None and leaves the others intact
+    class Failing(GaussianOracle):
+        def gradient_batch(self, x, m, rng):
+            if rng.bit_generator.seed_seq.spawn_key[0] == 1 and not np.array_equal(x, x0):
+                raise DomainError("synthetic failure")
+            return super().gradient_batch(x, m, rng)
+
+    prob = build_problem(TestProblemSpec("P3", sigma=0.1))
+    prob = replace(prob, oracle=Failing(prob.oracle.value, prob.oracle.grad, sigma=0.1))
+    x0 = prob.x_init
+    rounds = [(1.0 + i, x0 + 0.1 * i, SolverBudget(n_bar=300 * (i + 2), m=i % 3 + 1,
+                                                    gamma=0.02 + 0.005 * i, L=20.0),
+               RandomStream(5, (i,))) for i in range(rows)]
+    got = sfo._solve_rows(prob, rounds)
+    for i, (rho, x_init, budget, stream) in enumerate(rounds):
+        if i == 1:
+            assert got[i] is None
+            with pytest.raises(DomainError, match="synthetic"):
+                solve_nsco_sfo(prob, rho, x_init, budget, stream)
+            continue
+        want = solve_nsco_sfo(prob, rho, x_init, budget, stream)
+        assert (got[i].R, got[i].oracle_calls) == (want.R, want.oracle_calls)
+        assert got[i].x_R.tobytes() == want.x_R.tobytes()
+        assert got[i].G_R.tobytes() == want.G_R.tobytes()

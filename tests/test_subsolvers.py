@@ -190,11 +190,9 @@ def test_prox_q2_matches_reference_bit_for_bit():
     assert interior > 300 and boundary > 300
 
 
-@st.composite
-def _q1_prox_instances(draw):
+def _q1_prox_row(draw, n):
     # a zero row takes the a == 0 branch; rho = 0 and subnormal radii pin
     # the dual to (almost) nothing
-    n = draw(st.integers(1, 10))
     entries = st.floats(-10.0, 10.0)
     zero_row = draw(st.booleans())
     j = np.zeros(n) if zero_row else draw(arrays(np.float64, n, elements=entries))
@@ -203,6 +201,69 @@ def _q1_prox_instances(draw):
     rho = draw(st.one_of(st.just(0.0), st.floats(0.01, 100.0),
                          st.floats(0.0, 2.2250738585072014e-308, exclude_min=True)))
     return x, g, c, j[None], rho, draw(st.floats(0.05, 2.0))
+
+
+@st.composite
+def _q1_prox_instances(draw):
+    return _q1_prox_row(draw, draw(st.integers(1, 10)))
+
+
+@st.composite
+def _q1_prox_stacks(draw):
+    # up to 12 rows of one n, each with its own rho and gamma; sometimes all
+    # rows share one Jacobian, passed once as (1, 1, n)
+    n = draw(st.integers(1, 10))
+    rows = [_q1_prox_row(draw, n) for _ in range(draw(st.integers(0, 12)))]
+    if rows and draw(st.booleans()):
+        rows = [row[:3] + (rows[0][3],) + row[4:] for row in rows]
+        return n, rows, rows[0][3][None]
+    return n, rows, np.array([row[3] for row in rows]).reshape(len(rows), 1, n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_q1_prox_stacks())
+def test_prox_rows_match_prox_step_bit_for_bit(stack):
+    # every row of the stacked kernel is the scalar call on that row: the
+    # same x_plus, lam and gap bits, and ok exactly where the call returns
+    n, rows, jac = stack
+    x, g, c = (np.array([row[i] for row in rows]).reshape(len(rows), size)
+               for i, size in enumerate((n, n, 1)))
+    with np.errstate(all="ignore"):
+        x_plus, lam, gap, ok = subsolvers._prox_rows(
+            x, g, c, jac, [row[4] for row in rows], [row[5] for row in rows])
+    assert x_plus.shape == (len(rows), n) and lam.shape == (len(rows), 1)
+    assert len(gap) == len(ok) == len(rows)
+    for i, row in enumerate(rows):
+        try:
+            pr = prox_step(*row)
+        except SubsolverError:
+            assert not ok[i]
+            continue
+        assert ok[i]
+        assert x_plus[i].tobytes() == pr.x_plus.tobytes()
+        assert lam[i].tobytes() == pr.lam.tobytes()
+        assert gap[i] == pr.gap and np.signbit(gap[i]) == np.signbit(pr.gap)
+
+
+def test_prox_rows_refuse_an_overflowing_row_and_keep_the_others():
+    # row 1's step overflows to inf, its gap is NaN and prox_step raises;
+    # the kernel marks that row, and the rows around it keep prox_step's bits
+    rows = [(np.zeros(2), np.array([1.0, -2.0]), np.array([0.5]), np.array([[1.0, 1.0]]), 3.0, 0.5),
+            (np.zeros(2), np.array([1e300, 1e300]), np.array([0.5]), np.array([[0.0, 1e300]]),
+             1e300, 1e300),
+            (np.ones(2), np.array([0.2, 0.1]), np.array([-0.5]), np.array([[2.0, 0.0]]), 0.0, 0.9)]
+    with np.errstate(all="ignore"):
+        x_plus, lam, gap, ok = subsolvers._prox_rows(
+            np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
+            np.array([r[2] for r in rows]), np.array([r[3] for r in rows]),
+            [r[4] for r in rows], [r[5] for r in rows])
+    assert ok == [True, False, True]
+    with pytest.raises(SubsolverError), np.errstate(all="ignore"):
+        prox_step(*rows[1])
+    for i in (0, 2):
+        pr = prox_step(*rows[i])
+        assert x_plus[i].tobytes() == pr.x_plus.tobytes() and lam[i].tobytes() == pr.lam.tobytes()
+        assert gap[i] == pr.gap
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
