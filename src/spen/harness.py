@@ -553,7 +553,10 @@ def run_study(
     :func:`monte_carlo` would start (the whole study in this process where it
     would run there): a group's rounds move together and its inner
     iterations take one stacked prox step (``penalty._run_lockstep``).  A
-    replication that fails or leaves its group runs again alone, through
+    replication leaves the stack only by finishing its round in the scalar
+    inner loop: with one iteration left, once at most two would stay, or,
+    together with the whole stack, when the stacked checks or a gap refuse
+    an iteration.  One whose round raises runs again alone, through
     ``run_penalty``, so ``failures`` holds that call's message.  Other
     studies, and any study while this module's ``run_penalty`` is not the
     library's own (a test's or a tracer's substitute), run one

@@ -547,8 +547,8 @@ def _run_lockstep(
     keeps its own outer loop (steering, budget, records, certificate); the
     inner solves of a round run in lockstep through :func:`_solve_rows`.
     Entry ``i`` has the bits of ``run_penalty``'s result, or is None where
-    run ``i`` raised or left the lockstep: its caller runs it alone, and so
-    gets what ``run_penalty`` raises, if anything.
+    run ``i`` raised: its caller runs it alone, and so gets what
+    ``run_penalty`` raises.
     """
     loops = [_outer_loop(problem, config, rep) for rep in replications]
     results: list[PenaltyRunResult | None] = [None] * len(loops)

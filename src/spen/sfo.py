@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .problems import ConstrainedProblem, RandomStream, eval_constraints
-from .subsolvers import _prox_rows, prox_step
+from .subsolvers import _aligned_rows, _prox_rows, prox_step
 
 __all__ = [
     "SolverBudget",
@@ -261,33 +261,18 @@ def solve_nsco_sfo(
     return NscoRunResult(x_R=x_r, G_R=g_r, R=r_stop, oracle_calls=m * r_stop)
 
 
-def _fits(a, shape: tuple) -> bool:
-    """Whether ``a`` is a finite float64 array of ``shape``."""
-    return (isinstance(a, np.ndarray) and a.shape == shape and a.dtype == np.float64
-            and bool(np.isfinite(a).all()))
-
-
-def _batch_means(batches: list, ms: list[int]) -> np.ndarray | list:
-    """``_batch_mean``'s means of the rows' ``batches`` of ``ms`` draws.
+def _batch_means(batches: list, ms: list[int]) -> np.ndarray:
+    """``_batch_mean``'s means of the rows' ``batches`` of ``ms`` draws, stacked.
 
     One stacked reduction when every batch is a C-ordered float64 ndarray
-    of one shape ``(m, n)`` and every row has the same ``m``: numpy then sums
-    each row's batch in the order it sums the batch alone, so row ``i`` has
-    the bits of ``_batch_mean``.  Otherwise a list of one mean per batch,
-    None where a batch has none.
+    and every row has the same ``m``: numpy then sums each row's batch in the
+    order it sums the batch alone, so row ``i`` has the bits of
+    ``_batch_mean``.  Otherwise one ``_batch_mean`` per batch.
     """
-    if ms and ms.count(ms[0]) == len(ms) and all(
-            type(b) is np.ndarray and b.flags.c_contiguous for b in batches):
-        stacked = np.array(batches)
-        if stacked.dtype == np.float64 and stacked.ndim == 3:
-            return np.add.reduce(stacked, 1) / ms[0]
-    means = []
-    for b, m in zip(batches, ms):
-        try:
-            means.append(np.add.reduce(b, 0) / m)
-        except Exception:
-            means.append(None)
-    return means
+    if ms.count(ms[0]) == len(ms) and all(type(b) is np.ndarray and b.dtype == np.float64
+                                          and b.flags.c_contiguous for b in batches):
+        return np.add.reduce(np.array(batches), 1) / ms[0]
+    return np.array([np.add.reduce(b, 0) / m for b, m in zip(batches, ms)])
 
 
 def _solve_rows(
@@ -297,106 +282,83 @@ def _solve_rows(
     """:func:`solve_nsco_sfo` on several rounds ``(rho, x_init, budget,
     stream)`` of a problem with one constraint row, in lockstep.
 
-    Each round is a row with its own stopping index ``R`` from
-    ``stream.child(0)``, its own batches of its own ``m`` from
-    ``stream.child(1)``, its own ``rho`` and its own step.  An inner
-    iteration draws one oracle batch and makes one raw constraint call per
-    row, takes the batch means (:func:`_batch_means`), checks shapes and
-    finiteness once on the stacked arrays (a Jacobian that every row's call
-    returned as the same object is stacked and checked once), and takes the
-    prox steps in one :func:`_prox_rows`; a row drops out at its ``R``, and
-    the last two rows finish in the scalar loop, ``_solve_inner``.
-    Entry ``i`` of the result has the bits of ``solve_nsco_sfo`` on round
-    ``i``.  It is None where round ``i`` raised, failed a check, or gave
-    output the stacked checks do not take (arrays that are not float64,
-    say): the caller runs that round alone.
+    Each round is a row with its own ``R`` from ``stream.child(0)``, batches
+    of its own ``m`` from ``stream.child(1)``, ``rho`` and step.  The stack
+    holds the rows that take a prox step: per inner iteration, one batch and
+    one raw constraint call per row, the batch means (:func:`_batch_means`),
+    shape and finite checks once on the stacked arrays (a Jacobian that every
+    row's call returned as one object is checked once), and one
+    :func:`_prox_rows`.  A row leaves the stack only by finishing its round
+    in the scalar loop, ``_solve_inner``, from its iterate: with one
+    iteration left; all rows once at most two would stay (for them stacking
+    costs more than it saves); all rows when a stacked check or a gap fails,
+    each redoing that iteration from the batch it drew.  Entry ``i`` has the
+    bits of ``solve_nsco_sfo`` on round ``i``, or is None where it raised.
     """
-    n, src, cons = problem.n, problem.oracle, problem.constraints
-    draw = src.gradient_batch
+    n, draw, cons = problem.n, problem.oracle.gradient_batch, problem.constraints
     results: list[NscoRunResult | None] = [None] * len(rounds)
-    rows = []
-    for i, (rho, x_init, budget, stream) in enumerate(rounds):
-        x0 = np.asarray(x_init, dtype=float)
-        if rho >= 0.0 and x0.shape == (n,):
-            rows.append((_stop_index(budget, stream, None), i, budget.m,
-                         stream.child(1).generator(), x0, rho, budget.gamma))
-    # in descending R: the rows that go on past an iteration lead the stack
-    rows.sort(key=lambda row: -row[0])
-    columns = [list(col) for col in zip(*rows)] or [[] for _ in range(7)]
-    r_stop, ids, ms, rngs, x0s, rho, gamma = columns
-    x = np.array(x0s).reshape(len(ids), n)
-    moving, k = len(ids), 0
-    while ids:
-        if len(ids) <= 2:
-            # for one or two rows the stacked step costs more than it saves:
-            # they finish in the scalar loop, with the same bits from here on
-            for r, i, m, rng, x_j, rho_j, gamma_j in zip(r_stop, ids, ms, rngs, x, rho, gamma):
-                try:
-                    x_r, g_r = _solve_inner(problem, rho_j, x_j, gamma_j, r - k,
-                                            lambda x, m=m, rng=rng: _batch_mean(src, x, m, rng))
-                    results[i] = NscoRunResult(x_R=x_r, G_R=g_r, R=r, oracle_calls=m * r)
-                except Exception:  # left to the round's own run, as below
-                    pass
-            break
-        k += 1
-        while moving and r_stop[moving - 1] == k:
-            moving -= 1
-        batches, cs, jacs = [], [], []
-        for x_j, m, rng in zip(x, ms, rngs[:moving]):
-            try:  # an error is left to the round's own run, which raises it again
-                b = draw(x_j, m, rng)
-                c, jac = cons(x_j)
-            except Exception:
-                b = c = jac = None
-            batches.append(b)
-            cs.append(c)
-            jacs.append(jac)
-        for x_j, m, rng in zip(x[moving:], ms[moving:], rngs[moving:]):
+
+    def finish(k, rows, firsts):
+        # each round goes on from inner iteration k + 1 at its iterate, taking
+        # first's batch for it if drawn; None: the draw raised, as in the round's own run
+        for (r, i, m, rng, rho_i, gamma_i, x_i), first in zip(rows, firsts):
+            if first is None:
+                continue
             try:
-                batches.append(draw(x_j, m, rng))
-            except Exception:
-                batches.append(None)
-        # what overflows or turns NaN here only fails that row's checks
-        with np.errstate(all="ignore"):
-            ests = _batch_means(batches, ms)
-            try:
-                # a None from an error, or unequal shapes, fail here or below
-                g_all, c_all = np.asarray(ests), np.array(cs)
-                shared = moving and all(jac is jacs[0] for jac in jacs)
+                x_r, g_r = _solve_inner(problem, rho_i, x_i, gamma_i, r - k,
+                                        lambda x, m=m, rng=rng, first=first: np.add.reduce(
+                                            first.pop() if first else draw(x, m, rng), 0) / m)
+                results[i] = NscoRunResult(x_R=x_r, G_R=g_r, R=r, oracle_calls=m * r)
+            except Exception:  # left to the round's own run, which raises it again
+                pass
+
+    # rounds that _solve_inner refuses at once stay None; the rest go in
+    # descending R, so the rows that go on past an iteration lead the stack
+    rows = sorted(((_stop_index(budget, stream, None), i, budget.m, stream.child(1).generator(),
+                    rho, budget.gamma) for i, (rho, x_init, budget, stream) in enumerate(rounds)
+                   if rho >= 0.0 and np.shape(x_init) == (n,)), key=lambda row: -row[0])
+    # aligned as the scalar loop's iterates are: the problem's callables take
+    # the rows, and P3's constraint forms x @ x
+    x = _aligned_rows(np.array([rounds[row[1]][1] for row in rows], dtype=float))
+    columns = [list(col) for col in zip(*rows)] or [[] for _ in range(6)]
+    r_stop, ids, ms, rngs, rho, gamma = columns
+    k = 0  # the inner iterations every row of the stack has taken
+    while True:
+        live = len(ids)
+        while live and r_stop[live - 1] - k <= 1:
+            live -= 1
+        if live <= 2:
+            live = 0
+        if live < len(ids):
+            finish(k, zip(*(col[live:] for col in columns), x[live:]), [[]] * (len(ids) - live))
+            for col in columns:
+                del col[live:]
+            x = x[:live]
+        if not live:
+            return results
+        batches, xs = [], list(x)
+        try:
+            for x_i, m, rng in zip(xs, ms, rngs):
+                batches.append(draw(x_i, m, rng))
+            cs, jacs = zip(*map(cons, xs))
+            # what overflows or turns NaN here fails a check
+            with np.errstate(all="ignore"):
+                g_all, c_all = _batch_means(batches, ms), np.array(cs)
+                shared = all(jac is jacs[0] for jac in jacs)
                 j_all = np.asarray(jacs[0])[None] if shared else np.array(jacs)
                 # a float sum of the entries is finite only if every entry is
-                stacked = (g_all.shape == (len(ids), n)
-                           and (not moving or c_all.shape == (moving, 1)
-                                and j_all.shape == (1 if shared else moving, 1, n))
-                           and g_all.dtype == c_all.dtype == j_all.dtype == np.float64
-                           and math.isfinite(sum(g_all.ravel().tolist())
-                                             + sum(c_all.ravel().tolist())
-                                             + sum(j_all.ravel().tolist())))
-            except Exception:  # anything np.array refuses is checked row by row
-                stacked = False
-            if not stacked:
-                ests = list(ests)
-                keep = [j for j in range(len(ids)) if _fits(ests[j], (n,))
-                        and (j >= moving or _fits(cs[j], (1,)) and _fits(jacs[j], (1, n)))]
-                r_stop, ids, ms, rngs, rho, gamma, ests = (
-                    [col[j] for j in keep] for col in (r_stop, ids, ms, rngs, rho, gamma, ests))
-                cs, jacs = ([col[j] for j in keep if j < moving] for col in (cs, jacs))
-                x, moving = x[keep], len(cs)
-                g_all = np.array(ests).reshape(len(ids), n)
-                c_all = np.array(cs).reshape(moving, 1)
-                j_all = np.array(jacs).reshape(moving, 1, n)
-            if moving < len(ids):
-                for j in range(moving, len(ids)):
-                    results[ids[j]] = NscoRunResult(x_R=x[j].copy(), G_R=g_all[j].copy(), R=k,
-                                                    oracle_calls=ms[j] * k)
-                if not moving:
-                    break
-                del r_stop[moving:], ids[moving:], ms[moving:], rngs[moving:]
-                del rho[moving:], gamma[moving:]
-                x, g_all = x[:moving], g_all[:moving]
-            x, _, _, ok = _prox_rows(x, g_all, c_all, j_all, rho, gamma)
-        if False in ok:
-            r_stop, ids, ms, rngs, rho, gamma = ([v for v, good in zip(col, ok) if good]
-                                                 for col in (r_stop, ids, ms, rngs, rho, gamma))
-            x, moving = x[ok], len(ids)
-    return results
+                if (g_all.shape == x.shape and c_all.shape == (live, 1)
+                        and j_all.shape == (1 if shared else live, 1, n)
+                        and g_all.dtype == c_all.dtype == j_all.dtype == np.float64
+                        and math.isfinite(sum(g_all.ravel().tolist()) + sum(c_all.ravel().tolist())
+                                          + sum(j_all.ravel().tolist()))):
+                    x_plus, _, _, ok = _prox_rows(x, g_all, c_all, j_all, rho, gamma)
+                    if False not in ok:
+                        x, k = x_plus, k + 1
+                        continue
+        except Exception:  # met again in the scalar loop below, or in the round's own run
+            pass
+        # every row redoes this iteration in the scalar loop and ends its round
+        # there; a row past the one whose draw raised draws its own batch
+        finish(k, zip(*columns, x), [[b] for b in batches] + [None] + [[]] * live)
+        return results

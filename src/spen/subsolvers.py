@@ -326,11 +326,13 @@ def _prox_rows(
     its gap within ``DEFAULT_PROX_TOL`` as ``_check_gap`` requires, and where
     it does, row ``i`` of ``x_plus``, of ``lam`` ``(B, 1)`` and ``gap[i]``
     have the bits of its result.  Such a call warns at most of an overflow.
+    The rows of ``x_plus`` start on 16-byte boundaries (:func:`_aligned_rows`).
     Call this under ``np.errstate(all="ignore")``: a row whose call would
     raise can overflow or produce a NaN here.
     """
-    # (B,1,n) @ (B,n,1) is one BLAS dot per row, the bits of j.dot(v); the
-    # scalars are prox_step's own float arithmetic, row by row
+    # (B,1,n) @ (B,n,1) is one BLAS dot per row, the bits of j.dot(v) on
+    # aligned rows; the scalars are prox_step's own float arithmetic, row by row
+    g, jac = _aligned_rows(g), _aligned_rows(jac)
     c = c.ravel().tolist()
     jj = (jac @ jac.transpose(0, 2, 1)).ravel().tolist()
     if len(jj) < len(c):
@@ -346,10 +348,23 @@ def _prox_rows(
         else:
             lam.append(math.copysign(r, b) if b != 0.0 else 0.0)
     lam_col = np.array(lam).reshape(-1, 1)
-    d = np.array([-gm for gm in gamma]).reshape(-1, 1) * (g + lam_col * jac[:, 0])
+    d = _aligned_rows(np.array([-gm for gm in gamma]).reshape(-1, 1) * (g + lam_col * jac[:, 0]))
     t = [c0 + jd for c0, jd in zip(c, (jac @ d[:, :, None]).ravel().tolist())]
     gap = [r * abs(t_i) - lam0 * t_i for t_i, lam0, r in zip(t, lam, rho)]
-    return x + d, lam_col, gap, [gap_i <= DEFAULT_PROX_TOL for gap_i in gap]
+    return _aligned_rows(x + d), lam_col, gap, [gap_i <= DEFAULT_PROX_TOL for gap_i in gap]
+
+
+def _aligned_rows(a: np.ndarray) -> np.ndarray:
+    """``a``, or a copy whose rows along the last axis start on 16-byte
+    boundaries, as a fresh vector does: rows of odd length alternate, and some
+    BLAS kernels (OpenBLAS's Prescott one) round a dot of three or more
+    float64 entries differently on a vector that is not 16-byte aligned."""
+    n = a.shape[-1]
+    if n % 2 == 0 or n == 1 or a.size == n:
+        return a
+    rows = np.empty(a.shape[:-1] + (n + 1,))[..., :n]
+    rows[...] = a
+    return rows
 
 
 def _theta_q1(c: np.ndarray, jac: np.ndarray) -> BallSubproblemResult:

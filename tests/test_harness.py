@@ -368,8 +368,9 @@ def test_lockstep_study_matches_the_reference_bit_for_bit(family, in_process, mo
 
 def test_rows_the_lockstep_refuses_run_alone_with_the_same_bits(monkeypatch):
     # a constraint value of shape (1, 1) is fine for eval_constraints, which
-    # flattens it, but not for the stacked checks: every round leaves its
-    # group and runs through run_penalty, and the study keeps its bits
+    # flattens it, but not for the stacked checks: every round redoes its
+    # first iteration in the scalar loop and ends there, no replication runs
+    # again through run_penalty, and the study keeps its bits
     base = build_problem(TestProblemSpec("P2", sigma=0.1))
     prob = dataclasses.replace(base, constraints=lambda x: (
         base.constraints(x)[0].reshape(1, 1), base.constraints(x)[1]))
@@ -379,7 +380,7 @@ def test_rows_the_lockstep_refuses_run_alone_with_the_same_bits(monkeypatch):
     monkeypatch.setattr(harness, "_run_replication",
                         lambda *args: alone.append(args[3]) or run_replication(*args))
     lockstep = harness.run_study(prob, config, 30, RandomStream(4))
-    assert alone == list(range(30))
+    assert alone == []
     plain = harness.run_study(base, config, 30, RandomStream(4))
     assert lockstep.records == plain.records and not lockstep.mc.failures
     assert lockstep.certificate.lam.tobytes() == plain.certificate.lam.tobytes()

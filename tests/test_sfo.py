@@ -364,28 +364,61 @@ def test_solver_takes_integer_gradient_samples():
 @pytest.mark.parametrize("rows", [1, 2, 7])
 def test_solve_rows_match_solve_nsco_sfo_row_by_row(rows):
     # lockstep rounds on P3 (x-dependent Jacobian) with their own rho, step,
-    # batch size and stream; one or two rows finish in the scalar loop. The
-    # round whose oracle raises comes back None and leaves the others intact
+    # batch size and stream; one or two rows finish in the scalar loop. With
+    # the failing oracle, the round whose oracle raises comes back None and
+    # leaves the others intact. With the refusing constraint, its value comes
+    # back with shape (1, 1) once x[0] drops below -0.6, which the stacked
+    # checks refuse and eval_constraints takes: while the stack runs only the
+    # last row gets there, and every row still has the bits of its own run
     class Failing(GaussianOracle):
         def gradient_batch(self, x, m, rng):
             if rng.bit_generator.seed_seq.spawn_key[0] == 1 and not np.array_equal(x, x0):
                 raise DomainError("synthetic failure")
             return super().gradient_batch(x, m, rng)
 
-    prob = build_problem(TestProblemSpec("P3", sigma=0.1))
-    prob = replace(prob, oracle=Failing(prob.oracle.value, prob.oracle.grad, sigma=0.1))
-    x0 = prob.x_init
+    def refusing(x):
+        c, jac = base.constraints(x)
+        refused.append(x[0] < -0.6)
+        return (c.reshape(1, 1) if refused[-1] else c), jac
+
+    base, refused = build_problem(TestProblemSpec("P3", sigma=0.1)), []
+    x0 = base.x_init
     rounds = [(1.0 + i, x0 + 0.1 * i, SolverBudget(n_bar=300 * (i + 2), m=i % 3 + 1,
                                                     gamma=0.02 + 0.005 * i, L=20.0),
                RandomStream(5, (i,))) for i in range(rows)]
+    failing = replace(base, oracle=Failing(base.oracle.value, base.oracle.grad, sigma=0.1))
+    for prob in (failing, replace(base, constraints=refusing)):
+        got = sfo._solve_rows(prob, rounds)
+        for i, (rho, x_init, budget, stream) in enumerate(rounds):
+            if i == 1 and prob is failing:
+                assert got[i] is None
+                with pytest.raises(DomainError, match="synthetic"):
+                    solve_nsco_sfo(prob, rho, x_init, budget, stream)
+                continue
+            want = solve_nsco_sfo(prob, rho, x_init, budget, stream)
+            assert (got[i].R, got[i].oracle_calls) == (want.R, want.oracle_calls)
+            assert got[i].x_R.tobytes() == want.x_R.tobytes()
+            assert got[i].G_R.tobytes() == want.G_R.tobytes()
+    assert any(refused)
+
+
+def test_solve_rows_keep_the_bits_of_float32_batches():
+    # round 0's oracle answers in float32: its batches are summed in float32,
+    # as solve_nsco_sfo sums them, not stacked with the others' in float64
+    class Float32ForRound0(GaussianOracle):
+        def gradient_batch(self, x, m, rng):
+            batch = super().gradient_batch(x, m, rng)
+            round_0 = rng.bit_generator.seed_seq.spawn_key[0] == 0
+            return batch.astype(np.float32) if round_0 else batch
+
+    base = build_problem(TestProblemSpec("P2", sigma=0.1))
+    prob = replace(base, oracle=Float32ForRound0(base.oracle.value, base.oracle.grad, sigma=0.1))
+    rounds = [(2.0, base.x_init + 0.1 * i, SolverBudget(n_bar=4000, m=20, gamma=0.05, L=20.0),
+               RandomStream(3, (i,))) for i in range(6)]
     got = sfo._solve_rows(prob, rounds)
     for i, (rho, x_init, budget, stream) in enumerate(rounds):
-        if i == 1:
-            assert got[i] is None
-            with pytest.raises(DomainError, match="synthetic"):
-                solve_nsco_sfo(prob, rho, x_init, budget, stream)
-            continue
         want = solve_nsco_sfo(prob, rho, x_init, budget, stream)
         assert (got[i].R, got[i].oracle_calls) == (want.R, want.oracle_calls)
         assert got[i].x_R.tobytes() == want.x_R.tobytes()
+        assert got[i].G_R.dtype == want.G_R.dtype
         assert got[i].G_R.tobytes() == want.G_R.tobytes()

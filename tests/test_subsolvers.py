@@ -245,6 +245,20 @@ def test_prox_rows_match_prox_step_bit_for_bit(stack):
         assert gap[i] == pr.gap and np.signbit(gap[i]) == np.signbit(pr.gap)
 
 
+def test_aligned_rows_start_every_row_on_16_bytes():
+    # rows of three entries alternate alignment in a plain stack; the copy
+    # puts every row on a 16-byte boundary and keeps the values. Even rows,
+    # rows of one entry and a single row are returned as they are
+    for shape in ((5, 3), (4, 1, 3), (3, 7)):
+        a = np.arange(float(np.prod(shape))).reshape(shape)
+        rows = subsolvers._aligned_rows(a)
+        assert rows.tobytes() == a.tobytes()
+        assert all(row.ctypes.data % 16 == 0 for row in (rows if rows.ndim == 2 else rows[:, 0]))
+    for shape in ((5, 2), (5, 1), (1, 1, 3)):
+        a = np.ones(shape)
+        assert subsolvers._aligned_rows(a) is a
+
+
 def test_prox_rows_refuse_an_overflowing_row_and_keep_the_others():
     # row 1's step overflows to inf, its gap is NaN and prox_step raises;
     # the kernel marks that row, and the rows around it keep prox_step's bits
