@@ -338,7 +338,7 @@ def _build_rosen(spec: TestProblemSpec) -> ConstrainedProblem:
         L_g=6600.0,
         L_J=0.05,
         f_low=0.0,
-        kappa_g=2200.0,
+        kappa_g=5000.0,
         kappa_c=5.0,
         kappa_f=3700.0,
         kappa_J=math.sqrt(2.0),
@@ -555,15 +555,16 @@ def run_study(
     iterations take one stacked prox step (``penalty._run_lockstep``).  A
     replication leaves the stack only by finishing its round in the scalar
     inner loop: with one iteration left, once at most two would stay, or,
-    together with the whole stack, when the stacked checks or a gap refuse
-    an iteration.  One whose round raises runs again alone, through
-    ``run_penalty``, so ``failures`` holds that call's message.  Other
-    studies, and any study while this module's ``run_penalty`` is not the
-    library's own (a test's or a tracer's substitute), run one
-    ``run_penalty`` per replication through ``monte_carlo``.  Either way
-    records and the multiplier mean are assembled in ascending replication
-    id, like the estimates, so the result has the same bits under any
-    execution order, grouping and number of workers."""
+    together with the whole stack, when a draw raises or the stacked checks
+    or a gap refuse an iteration.  A replication that raises comes back as
+    its error, which ``failures`` records as ``monte_carlo`` does; none runs
+    twice.  Other studies, and any study while this module's
+    ``run_penalty`` is not the library's own (a test's or a tracer's
+    substitute), run one ``run_penalty`` per replication through
+    ``monte_carlo``.  Either way records and the multiplier mean are
+    assembled in ascending replication id, like the estimates, so the result
+    has the same bits under any execution order, grouping and number of
+    workers."""
 
     def run_fn(rep: int, rep_stream: RandomStream) -> PenaltyRunResult:
         return run_penalty(problem, config, rep_stream, replication=rep)
@@ -574,7 +575,7 @@ def run_study(
         _check_reps(reps)
         workers = _worker_count(reps)
         groups = [list(range(w, reps, workers)) for w in range(workers)]
-        task = functools.partial(_run_group, problem, config, stream, run_fn)
+        task = functools.partial(_run_group, problem, config, stream)
         outcomes = [out for group in _pool_map(task, groups, workers) for out in group]
         mc = _collect(reps, [rep for group in groups for rep in group], outcomes)
     else:
@@ -588,17 +589,19 @@ def run_study(
 
 
 def _run_group(
-    problem: ConstrainedProblem,
-    config: PenaltyConfig,
-    stream: RandomStream,
-    run_fn: Callable[[int, RandomStream], PenaltyRunResult],
-    group: list[int],
+    problem: ConstrainedProblem, config: PenaltyConfig, stream: RandomStream, group: list[int]
 ) -> list[tuple]:
     """The ``_run_replication`` outcomes of the replications in ``group``,
-    run in lockstep; one that comes back None runs again through ``run_fn``."""
-    runs = _run_lockstep(problem, config, [stream.child(rep) for rep in group], group)
-    return [_run_replication(run_fn, stream, _study_scalars, rep) if run is None
-            else (run, _study_scalars(run), None) for rep, run in zip(group, runs)]
+    run in lockstep: a run that comes back as an error raises it there."""
+    runs = dict(zip(group, _run_lockstep(problem, config,
+                                         [stream.child(rep) for rep in group], group)))
+
+    def run_fn(rep: int, _: RandomStream) -> PenaltyRunResult:
+        if isinstance(runs[rep], Exception):
+            raise runs[rep]
+        return runs[rep]
+
+    return [_run_replication(run_fn, stream, _study_scalars, rep) for rep in group]
 
 
 def slope_fit(points: list[tuple[float, float]]) -> SlopeFit:

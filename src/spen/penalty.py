@@ -406,12 +406,8 @@ def _outer_loop(problem: ConstrainedProblem, config: PenaltyConfig, replication:
     inner solve as ``(k, rho, x, budget)``, takes that solve's
     ``NscoRunResult`` back, and returns the ``PenaltyRunResult``."""
     constants = problem.constants
-    state = PenaltyState(
-        k=0,
-        x=np.asarray(problem.x_init, dtype=float).copy(),
-        G=np.zeros(problem.n),
-        rho=config.rho0,
-    )
+    state = PenaltyState(k=0, x=np.asarray(problem.x_init, dtype=float).copy(),
+                         G=np.zeros(problem.n), rho=config.rho0)
     bound = _outer_bound_or_none(config, constants)
     records: list[RunRecord] = []
     crossed = False
@@ -419,16 +415,9 @@ def _outer_loop(problem: ConstrainedProblem, config: PenaltyConfig, replication:
     for k in range(1, config.max_outer):
         steered = steer_penalty(problem, state, config.xi, config.tau)
         state.rho = steered.rho
-        budget = subproblem_budget_for_rho(
-            state.rho,
-            config.epsilon,
-            constants,
-            config.oracle_mode,
-            n=problem.n,
-            d_tilde=config.d_tilde,
-            d1_tilde=config.d1_tilde,
-            d2_tilde=config.d2_tilde,
-        )
+        budget = subproblem_budget_for_rho(state.rho, config.epsilon, constants, config.oracle_mode,
+                                           n=problem.n, d_tilde=config.d_tilde,
+                                           d1_tilde=config.d1_tilde, d2_tilde=config.d2_tilde)
         res = yield k, state.rho, state.x, budget
         state.k = k
         state.x = res.x_R
@@ -438,17 +427,9 @@ def _outer_loop(problem: ConstrainedProblem, config: PenaltyConfig, replication:
         crit_sq = None
         if problem.true_objective is not None:
             crit_sq = _stationarity(problem, state, budget.gamma)[0]
-        records.append(
-            RunRecord(
-                replication=replication,
-                outer_iter=k,
-                rho=state.rho,
-                theta=steered.theta,
-                phi=steered.phi,
-                crit_sq=crit_sq,
-                oracle_calls=state.oracle_calls,
-            )
-        )
+        records.append(RunRecord(replication=replication, outer_iter=k, rho=state.rho,
+                                 theta=steered.theta, phi=steered.phi, crit_sq=crit_sq,
+                                 oracle_calls=state.oracle_calls))
         if bound is not None and state.rho >= bound.rho_bar:
             crossed = True
             if config.early_stop:
@@ -528,10 +509,16 @@ def run_penalty(
                 try:
                     res = solver(problem, rho, x, budget, stream.child(k))
                 except BudgetExceeded as err:
-                    raise BudgetExceeded(f"outer round {k}: {err}") from None
+                    raise _round_error(k, err) from None
                 k, rho, x, budget = rounds.send(res)
         except StopIteration as done:
             return done.value
+
+
+def _round_error(k: int, err: Exception) -> Exception:
+    """The error a run raises for ``err``, the error of its round ``k``'s
+    inner solve: a ``BudgetExceeded`` names the round, any other is ``err``."""
+    return BudgetExceeded(f"outer round {k}: {err}") if isinstance(err, BudgetExceeded) else err
 
 
 def _run_lockstep(
@@ -539,19 +526,18 @@ def _run_lockstep(
     config: PenaltyConfig,
     streams: list[RandomStream],
     replications: list[int],
-) -> list[PenaltyRunResult | None]:
+) -> list[PenaltyRunResult | Exception]:
     """:func:`run_penalty` on each ``(streams[i], replications[i])``, with
     the rounds of all the runs moving together.
 
     For a first-order run of a problem with one constraint row.  Each run
     keeps its own outer loop (steering, budget, records, certificate); the
     inner solves of a round run in lockstep through :func:`_solve_rows`.
-    Entry ``i`` has the bits of ``run_penalty``'s result, or is None where
-    run ``i`` raised: its caller runs it alone, and so gets what
-    ``run_penalty`` raises.
+    Entry ``i`` has the bits of ``run_penalty``'s result, or is the error
+    that call raises, with its message: run ``i`` stops at its first error.
     """
     loops = [_outer_loop(problem, config, rep) for rep in replications]
-    results: list[PenaltyRunResult | None] = [None] * len(loops)
+    results: list[PenaltyRunResult | Exception] = [None] * len(loops)
     pending: dict[int, tuple] = {}
 
     def advance(i, res):
@@ -559,8 +545,8 @@ def _run_lockstep(
             pending[i] = loops[i].send(res)
         except StopIteration as done:
             results[i] = done.value
-        except Exception:  # left to run_penalty, which raises it again
-            pass
+        except Exception as err:  # what run_penalty raises
+            results[i] = err
 
     with np.errstate(over="ignore"):  # run_penalty's error state
         for i in range(len(loops)):
@@ -570,7 +556,9 @@ def _run_lockstep(
             pending.clear()
             solved = _solve_rows(problem, [(rho, x, budget, streams[i].child(k))
                                            for i, (k, rho, x, budget) in zip(live, requests)])
-            for i, res in zip(live, solved):
-                if res is not None:
+            for i, (k, *_), res in zip(live, requests, solved):
+                if isinstance(res, Exception):
+                    results[i] = _round_error(k, res)
+                else:
                     advance(i, res)
     return results

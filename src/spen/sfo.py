@@ -205,14 +205,15 @@ def _solve_inner(
     gamma: float,
     r_stop: int,
     estimate: Callable[[np.ndarray], np.ndarray],
+    first: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inner loop shared by the first- and zeroth-order solvers.
 
-    Runs ``r_stop`` iterations from ``x_init`` and returns ``(x_R, G_R)``;
-    ``estimate(x)`` returns the batch gradient estimate at ``x`` from the
-    draws it owns.  Raises ``ConfigError`` for a negative ``rho`` and
-    ``DomainError`` when ``x_init`` has the wrong shape or an estimate is
-    misshapen or non-finite.
+    Runs inner iterations ``first..r_stop`` from ``x_init``, the iterate
+    ``x_first``, and returns ``(x_R, G_R)``; ``estimate(x)`` returns the
+    batch gradient estimate at ``x`` from the draws it owns.  Raises
+    ``ConfigError`` for a negative ``rho`` and ``DomainError`` when
+    ``x_init`` has the wrong shape or an estimate is misshapen or non-finite.
     """
     if rho < 0.0:
         raise ConfigError(f"penalty parameter must be >= 0, got {rho}")
@@ -220,7 +221,7 @@ def _solve_inner(
     if x.shape != (problem.n,):
         raise DomainError(f"initial point has shape {x.shape}, expected ({problem.n},)")
     # iteration k estimates G_k at x_k; the last one is G_R at the returned x_R
-    for k in range(1, r_stop + 1):
+    for k in range(first, r_stop + 1):
         grad_est = estimate(x)
         if grad_est.shape != x.shape:
             raise DomainError(f"batch gradient estimate at inner iteration {k} has shape "
@@ -278,7 +279,7 @@ def _batch_means(batches: list, ms: list[int]) -> np.ndarray:
 def _solve_rows(
     problem: ConstrainedProblem,
     rounds: list[tuple[float, np.ndarray, SolverBudget, RandomStream]],
-) -> list[NscoRunResult | None]:
+) -> list[NscoRunResult | Exception]:
     """:func:`solve_nsco_sfo` on several rounds ``(rho, x_init, budget,
     stream)`` of a problem with one constraint row, in lockstep.
 
@@ -291,36 +292,41 @@ def _solve_rows(
     :func:`_prox_rows`.  A row leaves the stack only by finishing its round
     in the scalar loop, ``_solve_inner``, from its iterate: with one
     iteration left; all rows once at most two would stay (for them stacking
-    costs more than it saves); all rows when a stacked check or a gap fails,
-    each redoing that iteration from the batch it drew.  Entry ``i`` has the
-    bits of ``solve_nsco_sfo`` on round ``i``, or is None where it raised.
+    costs more than it saves); all rows when a draw raises, a stacked check
+    or a gap fails, each redoing that iteration from the batch it drew.
+    Entry ``i`` has the bits of ``solve_nsco_sfo`` on round ``i``, or is the
+    error that call raises, with its message.  Every round has ``rho >= 0``
+    and an ``x_init`` of shape ``(n,)``, as the penalty loop's rounds do:
+    steering has evaluated the constraints at ``x_init``, and ``rho`` is at
+    least ``rho0 + tau > 0``.
     """
     n, draw, cons = problem.n, problem.oracle.gradient_batch, problem.constraints
-    results: list[NscoRunResult | None] = [None] * len(rounds)
+    results: list[NscoRunResult | Exception] = [None] * len(rounds)
 
-    def finish(k, rows, firsts):
+    def finish(k, rows, drawn):
         # each round goes on from inner iteration k + 1 at its iterate, taking
-        # first's batch for it if drawn; None: the draw raised, as in the round's own run
-        for (r, i, m, rng, rho_i, gamma_i, x_i), first in zip(rows, firsts):
-            if first is None:
+        # the batch in ahead for it if drawn; None: its draw raised, and that
+        # error is its result
+        for (r, i, m, rng, rho_i, gamma_i, x_i), ahead in zip(rows, drawn):
+            if ahead is None:
                 continue
             try:
-                x_r, g_r = _solve_inner(problem, rho_i, x_i, gamma_i, r - k,
-                                        lambda x, m=m, rng=rng, first=first: np.add.reduce(
-                                            first.pop() if first else draw(x, m, rng), 0) / m)
+                x_r, g_r = _solve_inner(problem, rho_i, x_i, gamma_i, r,
+                                        lambda x, m=m, rng=rng, ahead=ahead: np.add.reduce(
+                                            ahead.pop() if ahead else draw(x, m, rng), 0) / m,
+                                        first=k + 1)
                 results[i] = NscoRunResult(x_R=x_r, G_R=g_r, R=r, oracle_calls=m * r)
-            except Exception:  # left to the round's own run, which raises it again
-                pass
+            except Exception as err:  # what the round's own run raises
+                results[i] = err
 
-    # rounds that _solve_inner refuses at once stay None; the rest go in
-    # descending R, so the rows that go on past an iteration lead the stack
+    # in descending R, so the rows that go on past an iteration lead the stack
     rows = sorted(((_stop_index(budget, stream, None), i, budget.m, stream.child(1).generator(),
-                    rho, budget.gamma) for i, (rho, x_init, budget, stream) in enumerate(rounds)
-                   if rho >= 0.0 and np.shape(x_init) == (n,)), key=lambda row: -row[0])
+                    rho, budget.gamma) for i, (rho, _, budget, stream) in enumerate(rounds)),
+                  key=lambda row: -row[0])
     # aligned as the scalar loop's iterates are: the problem's callables take
     # the rows, and P3's constraint forms x @ x
     x = _aligned_rows(np.array([rounds[row[1]][1] for row in rows], dtype=float))
-    columns = [list(col) for col in zip(*rows)] or [[] for _ in range(6)]
+    columns = [list(col) for col in zip(*rows)]
     r_stop, ids, ms, rngs, rho, gamma = columns
     k = 0  # the inner iterations every row of the stack has taken
     while True:
@@ -356,8 +362,9 @@ def _solve_rows(
                     if False not in ok:
                         x, k = x_plus, k + 1
                         continue
-        except Exception:  # met again in the scalar loop below, or in the round's own run
-            pass
+        except Exception as err:  # a draw's error is its round's result; any
+            if len(batches) < live:  # other is met again in the scalar loop
+                results[ids[len(batches)]] = err
         # every row redoes this iteration in the scalar loop and ends its round
         # there; a row past the one whose draw raised draws its own batch
         finish(k, zip(*columns, x), [[b] for b in batches] + [None] + [[]] * live)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 import multiprocessing
 import os
@@ -46,6 +47,30 @@ def test_families_build_and_reference_solutions_hold():
         prob.constants.require("L_g", "L_J", "sigma", "f_low",
                                "kappa_g", "kappa_c", "kappa_f", "kappa_J")
         assert prob.x_init is not None and prob.box is not None
+
+
+@pytest.mark.parametrize("family, n", [
+    ("P1", 1), ("P1", 2), ("P1", 10), ("P2", None), ("P3", None), ("ROSEN-EQ", None)])
+def test_declared_constants_hold_on_the_box(family, n):
+    # every budget and rho_bar rests on these bounds, at every corner of the
+    # box and at 2,000 seeded uniform points of it; P2's are attained at its
+    # corners, hence the relative slack
+    prob = build_problem(TestProblemSpec(family, n=n, sigma=0.1))
+    lo, hi = prob.box
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    points = np.concatenate([corners, np.random.default_rng(0).uniform(lo, hi, (2000, prob.n))])
+    k = prob.constants
+
+    def at_most(value, bound):
+        return value <= bound + 1e-12 * abs(bound)
+
+    for x in points:
+        f, grad = prob.true_value_grad(x)
+        c, jac = eval_constraints(prob, x)
+        assert at_most(float(np.linalg.norm(grad)), k.kappa_g), f"{family}: ||grad f({x})||"
+        assert at_most(k.f_low, f) and at_most(f, k.kappa_f), f"{family}: f({x}) = {f}"
+        assert at_most(float(np.linalg.norm(c)), k.kappa_c), f"{family}: ||c({x})||"
+        assert at_most(float(np.linalg.norm(jac, 2)), k.kappa_J), f"{family}: ||J({x})||"
 
 
 def test_every_family_in_the_table_builds_and_unknown_names_list_the_table():
@@ -366,24 +391,52 @@ def test_lockstep_study_matches_the_reference_bit_for_bit(family, in_process, mo
     assert lockstep.certificate.verdict == reference.certificate.verdict
 
 
+def _count_outer_loops(monkeypatch) -> list[int]:
+    """The replication of each outer loop started from here on, in order."""
+    starts, outer_loop = [], spen.penalty._outer_loop
+    monkeypatch.setattr(spen.penalty, "_outer_loop",
+                        lambda *args: starts.append(args[2]) or outer_loop(*args))
+    return starts
+
+
 def test_rows_the_lockstep_refuses_run_alone_with_the_same_bits(monkeypatch):
     # a constraint value of shape (1, 1) is fine for eval_constraints, which
     # flattens it, but not for the stacked checks: every round redoes its
-    # first iteration in the scalar loop and ends there, no replication runs
-    # again through run_penalty, and the study keeps its bits
+    # first iteration in the scalar loop and ends there, each replication's
+    # outer loop starts once, and the study keeps its bits
     base = build_problem(TestProblemSpec("P2", sigma=0.1))
     prob = dataclasses.replace(base, constraints=lambda x: (
         base.constraints(x)[0].reshape(1, 1), base.constraints(x)[1]))
     config = PenaltyConfig(epsilon=0.9, max_outer=3)
-    alone, run_replication = [], harness._run_replication
     monkeypatch.setattr(harness, "_worker_count", lambda reps: 1)
-    monkeypatch.setattr(harness, "_run_replication",
-                        lambda *args: alone.append(args[3]) or run_replication(*args))
+    starts = _count_outer_loops(monkeypatch)
     lockstep = harness.run_study(prob, config, 30, RandomStream(4))
-    assert alone == []
+    assert starts == list(range(30))
     plain = harness.run_study(base, config, 30, RandomStream(4))
     assert lockstep.records == plain.records and not lockstep.mc.failures
     assert lockstep.certificate.lam.tobytes() == plain.certificate.lam.tobytes()
+
+
+def test_a_failing_lockstep_replication_runs_once(monkeypatch):
+    # replication 7's first draw of round 4 raises: its error is the run's
+    # result, so its outer loop starts once and it draws each batch once
+    class FailingAt7(GaussianOracle):
+        def gradient_batch(self, x, m, rng):
+            rep, k = rng.bit_generator.seed_seq.spawn_key[:2]
+            draws[rep] = draws.get(rep, 0) + 1
+            if (rep, k) == (7, 4):
+                raise DomainError("synthetic failure in replication 7")
+            return super().gradient_batch(x, m, rng)
+
+    base, draws = build_problem(TestProblemSpec("P2", sigma=0.1)), {}
+    prob = dataclasses.replace(base, oracle=FailingAt7(base.oracle.value, base.oracle.grad,
+                                                       sigma=0.1))
+    monkeypatch.setattr(harness, "_worker_count", lambda reps: 1)
+    starts = _count_outer_loops(monkeypatch)
+    study = harness.run_study(prob, PenaltyConfig(epsilon=0.4, max_outer=5), 30, RandomStream(3))
+    assert study.mc.failures == [(7, "DomainError: synthetic failure in replication 7")]
+    assert starts == list(range(30))
+    assert draws[7] == 1862
 
 
 def test_lockstep_applies_only_to_the_librarys_own_run_penalty(monkeypatch):

@@ -320,7 +320,7 @@ def test_run_penalty_factorizes_each_jacobian_once(monkeypatch):
 
 
 def test_run_penalty_refuses_szo_draws_beyond_physical_memory():
-    # ROSEN-EQ's first zeroth-order round at eps = 0.1 has m ~ 2.8e10 value
+    # ROSEN-EQ's first zeroth-order round at eps = 0.1 has m ~ 1.4e11 value
     # pairs: its batches in flight would take terabytes.  The round raises
     # before it draws anything, rather than running out of memory
     problem = build_problem(TestProblemSpec("ROSEN-EQ", sigma=0.1))

@@ -365,11 +365,12 @@ def test_solver_takes_integer_gradient_samples():
 def test_solve_rows_match_solve_nsco_sfo_row_by_row(rows):
     # lockstep rounds on P3 (x-dependent Jacobian) with their own rho, step,
     # batch size and stream; one or two rows finish in the scalar loop. With
-    # the failing oracle, the round whose oracle raises comes back None and
-    # leaves the others intact. With the refusing constraint, its value comes
-    # back with shape (1, 1) once x[0] drops below -0.6, which the stacked
-    # checks refuse and eval_constraints takes: while the stack runs only the
-    # last row gets there, and every row still has the bits of its own run
+    # the failing oracle, the round whose oracle raises comes back as the
+    # error solve_nsco_sfo raises and leaves the others intact. With the
+    # refusing constraint, its value comes back with shape (1, 1) once x[0]
+    # drops below -0.6, which the stacked checks refuse and eval_constraints
+    # takes: while the stack runs only the last row gets there, and every row
+    # still has the bits of its own run
     class Failing(GaussianOracle):
         def gradient_batch(self, x, m, rng):
             if rng.bit_generator.seed_seq.spawn_key[0] == 1 and not np.array_equal(x, x0):
@@ -391,9 +392,9 @@ def test_solve_rows_match_solve_nsco_sfo_row_by_row(rows):
         got = sfo._solve_rows(prob, rounds)
         for i, (rho, x_init, budget, stream) in enumerate(rounds):
             if i == 1 and prob is failing:
-                assert got[i] is None
-                with pytest.raises(DomainError, match="synthetic"):
+                with pytest.raises(DomainError, match="synthetic") as want:
                     solve_nsco_sfo(prob, rho, x_init, budget, stream)
+                assert type(got[i]) is DomainError and str(got[i]) == str(want.value)
                 continue
             want = solve_nsco_sfo(prob, rho, x_init, budget, stream)
             assert (got[i].R, got[i].oracle_calls) == (want.R, want.oracle_calls)
