@@ -149,7 +149,8 @@ def _family(
     n = x_init.size
     known = None
     if reference is not None:
-        known = KnownSolution(reference[0], np.array([reference[1]]), float(fval(reference[0])))
+        known = KnownSolution(_frozen(reference[0]), _frozen([reference[1]]),
+                              float(fval(reference[0])))
     return ConstrainedProblem(
         n=n,
         q=1,
@@ -242,9 +243,11 @@ def _p3_grad(x):
     return _P3_A * x**3 - _P3_B * x + _P3_D
 
 
+@functools.cache
 def _solve_p3_kkt() -> tuple[np.ndarray, float]:
     """Deterministic damped-Newton solve of the sphere-constrained KKT
-    system, run once at build time; returns the best root found."""
+    system, run on the first P3 build and kept for the process; returns the
+    best root found."""
 
     def kkt(z):
         x, lam = z[:3], z[3]
@@ -363,8 +366,8 @@ def build_problem(spec: TestProblemSpec) -> ConstrainedProblem:
     P1 is a smooth nonconvex objective with vacuous constraints (the
     composite solvers see c identically zero); P2 a convex quadratic with
     one linear constraint and a closed-form KKT pair; P3 a nonconvex
-    quartic on the unit sphere whose reference KKT pair is computed at
-    build time by a deterministic damped Newton solve; ROSEN-EQ the
+    quartic on the unit sphere whose reference KKT pair is computed on its
+    first build by a deterministic damped Newton solve; ROSEN-EQ the
     Rosenbrock objective with a linear constraint.  DEBUG-BADJAC is P2
     with a deliberately corrupted Jacobian, used to demonstrate the
     validation battery catching an inconsistent constraint map.
@@ -548,30 +551,21 @@ def run_study(
     """Run :func:`run_penalty` as replication ``rep`` on ``stream.child(rep)``
     for each ``rep < reps``, and certify the estimates.
 
-    A first-order study of a problem with one constraint row runs its
-    replications in lockstep groups, one group per worker of the pool that
+    The replications run in groups, one group per worker of the pool that
     :func:`monte_carlo` would start (the whole study in this process where it
-    would run there): a group's rounds move together and its inner
-    iterations take one stacked prox step (``penalty._run_lockstep``).  A
-    replication leaves the stack only by finishing its round in the scalar
-    inner loop: with one iteration left, once at most two would stay, or,
-    together with the whole stack, when a draw raises or the stacked checks
-    or a gap refuse an iteration.  A replication that raises comes back as
-    its error, which ``failures`` records as ``monte_carlo`` does; none runs
-    twice.  Other studies, and any study while this module's
-    ``run_penalty`` is not the library's own (a test's or a tracer's
-    substitute), run one ``run_penalty`` per replication through
-    ``monte_carlo``.  Either way records and the multiplier mean are
-    assembled in ascending replication id, like the estimates, so the result
-    has the same bits under any execution order, grouping and number of
-    workers."""
-
-    def run_fn(rep: int, rep_stream: RandomStream) -> PenaltyRunResult:
-        return run_penalty(problem, config, rep_stream, replication=rep)
-
-    lockstep = (config.oracle_mode == "sfo" and problem.q == 1
-                and getattr(run_penalty, "__code__", None) is _RUN_PENALTY_CODE)
-    if lockstep:
+    would run there), each group through ``penalty._run_lockstep``, the outer
+    driver that ``run_penalty`` runs one replication with: a group's rounds
+    move together, and that driver alone decides whether a round's inner
+    solves stack (first-order, one constraint row) or run one per
+    replication.  A replication that raises comes back as its error, which
+    ``failures`` records as ``monte_carlo`` does; none runs twice.  While
+    this module's ``run_penalty`` is not the library's own (a test's or a
+    tracer's substitute), the study runs one ``run_penalty`` per replication
+    through ``monte_carlo`` instead.  Either way records and the multiplier
+    mean are assembled in ascending replication id, like the estimates, so
+    the result has the same bits under any execution order, grouping and
+    number of workers."""
+    if getattr(run_penalty, "__code__", None) is _RUN_PENALTY_CODE:
         _check_reps(reps)
         workers = _worker_count(reps)
         groups = [list(range(w, reps, workers)) for w in range(workers)]
@@ -579,7 +573,9 @@ def run_study(
         outcomes = [out for group in _pool_map(task, groups, workers) for out in group]
         mc = _collect(reps, [rep for group in groups for rep in group], outcomes)
     else:
-        mc = monte_carlo(run_fn, reps, stream, track=_study_scalars)
+        mc = monte_carlo(lambda rep, rep_stream: run_penalty(problem, config, rep_stream,
+                                                             replication=rep),
+                         reps, stream, track=_study_scalars)
     runs = list(mc.values.values())
     lam_mean = np.mean(np.stack([run.certificate.lam for run in runs]), axis=0)
     certificate = certificate_from_estimates(
@@ -592,7 +588,9 @@ def _run_group(
     problem: ConstrainedProblem, config: PenaltyConfig, stream: RandomStream, group: list[int]
 ) -> list[tuple]:
     """The ``_run_replication`` outcomes of the replications in ``group``,
-    run in lockstep: a run that comes back as an error raises it there."""
+    run together by ``_run_lockstep``: a run that comes back as an error
+    raises it there, so a ``SpenError`` or numeric error becomes a failure
+    and any other error propagates."""
     runs = dict(zip(group, _run_lockstep(problem, config,
                                          [stream.child(rep) for rep in group], group)))
 

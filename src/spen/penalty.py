@@ -404,7 +404,8 @@ def _stationarity(
 def _outer_loop(problem: ConstrainedProblem, config: PenaltyConfig, replication: int):
     """The outer loop of one run, as a generator: it yields each round's
     inner solve as ``(k, rho, x, budget)``, takes that solve's
-    ``NscoRunResult`` back, and returns the ``PenaltyRunResult``."""
+    ``NscoRunResult`` back (or has its error thrown in, which ends the run),
+    and returns the ``PenaltyRunResult``."""
     constants = problem.constants
     state = PenaltyState(k=0, x=np.asarray(problem.x_init, dtype=float).copy(),
                          G=np.zeros(problem.n), rho=config.rho0)
@@ -496,29 +497,13 @@ def run_penalty(
     gradient estimate, which makes it accept the minimal increase.  The
     run ignores floating-point overflow, in its own code and in the
     problem's callables: an overflow comes out inf, which a finite check
-    then turns into a ``SpenError`` such as ``DomainError``.
+    then turns into a ``SpenError`` such as ``DomainError``.  This is the
+    one-run case of ``_run_lockstep``, the outer driver, which raises here.
     """
-    if not isinstance(config, PenaltyConfig):
-        raise ConfigError("run_penalty needs a PenaltyConfig")
-    solver = solve_nsco_sfo if config.oracle_mode == "sfo" else solve_nsco_szo
-    rounds = _outer_loop(problem, config, replication)
-    with np.errstate(over="ignore"):
-        try:
-            k, rho, x, budget = next(rounds)
-            while True:
-                try:
-                    res = solver(problem, rho, x, budget, stream.child(k))
-                except BudgetExceeded as err:
-                    raise _round_error(k, err) from None
-                k, rho, x, budget = rounds.send(res)
-        except StopIteration as done:
-            return done.value
-
-
-def _round_error(k: int, err: Exception) -> Exception:
-    """The error a run raises for ``err``, the error of its round ``k``'s
-    inner solve: a ``BudgetExceeded`` names the round, any other is ``err``."""
-    return BudgetExceeded(f"outer round {k}: {err}") if isinstance(err, BudgetExceeded) else err
+    result = _run_lockstep(problem, config, [stream], [replication])[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _run_lockstep(
@@ -527,38 +512,53 @@ def _run_lockstep(
     streams: list[RandomStream],
     replications: list[int],
 ) -> list[PenaltyRunResult | Exception]:
-    """:func:`run_penalty` on each ``(streams[i], replications[i])``, with
-    the rounds of all the runs moving together.
+    """The penalty method on each ``(streams[i], replications[i])``, with
+    the rounds of all the runs moving together: the one driver of
+    :func:`_outer_loop`, whose one-run case is :func:`run_penalty`.
 
-    For a first-order run of a problem with one constraint row.  Each run
-    keeps its own outer loop (steering, budget, records, certificate); the
-    inner solves of a round run in lockstep through :func:`_solve_rows`.
-    Entry ``i`` has the bits of ``run_penalty``'s result, or is the error
-    that call raises, with its message: run ``i`` stops at its first error.
+    Each run keeps its own outer loop (steering, budget, records,
+    certificate).  The inner solves of a round run in lockstep through
+    :func:`_solve_rows` when the runs are first-order, the problem has one
+    constraint row and there are two or more runs; otherwise the mode's
+    solver runs once per run.  Entry ``i`` is run ``i``'s result, or the
+    first error it raised, with its message; a round's ``BudgetExceeded``
+    names the round (``outer round k: ...``).  Either way entry ``i`` has
+    the same bits however the runs are grouped.
     """
+    if not isinstance(config, PenaltyConfig):
+        raise ConfigError("run_penalty needs a PenaltyConfig")
+    solver = solve_nsco_sfo if config.oracle_mode == "sfo" else solve_nsco_szo
+    stacked = config.oracle_mode == "sfo" and problem.q == 1 and len(streams) > 1
     loops = [_outer_loop(problem, config, rep) for rep in replications]
     results: list[PenaltyRunResult | Exception] = [None] * len(loops)
     pending: dict[int, tuple] = {}
 
     def advance(i, res):
+        # run i's loop takes its round's result back, or raises its error
         try:
-            pending[i] = loops[i].send(res)
+            pending[i] = loops[i].throw(res) if isinstance(res, Exception) else loops[i].send(res)
         except StopIteration as done:
             results[i] = done.value
-        except Exception as err:  # what run_penalty raises
+        except Exception as err:  # the run's error is its result
             results[i] = err
 
-    with np.errstate(over="ignore"):  # run_penalty's error state
+    def solve(rho, x, budget, round_stream):
+        try:
+            return solver(problem, rho, x, budget, round_stream)
+        except Exception as err:
+            return err
+
+    with np.errstate(over="ignore"):
         for i in range(len(loops)):
             advance(i, None)
         while pending:
             live, requests = list(pending), list(pending.values())
             pending.clear()
-            solved = _solve_rows(problem, [(rho, x, budget, streams[i].child(k))
-                                           for i, (k, rho, x, budget) in zip(live, requests)])
+            rounds = [(rho, x, budget, streams[i].child(k))
+                      for i, (k, rho, x, budget) in zip(live, requests)]
+            solved = _solve_rows(problem, rounds) if stacked else [solve(*r) for r in rounds]
             for i, (k, *_), res in zip(live, requests, solved):
-                if isinstance(res, Exception):
-                    results[i] = _round_error(k, res)
-                else:
-                    advance(i, res)
+                if isinstance(res, BudgetExceeded):
+                    res = BudgetExceeded(f"outer round {k}: {res}")
+                advance(i, res)
     return results

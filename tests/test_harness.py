@@ -32,6 +32,7 @@ from spen import (
     slope_fit,
     write_records,
 )
+from test_penalty import _two_constraint_problem
 
 
 def test_families_build_and_reference_solutions_hold():
@@ -458,6 +459,104 @@ def test_lockstep_applies_only_to_the_librarys_own_run_penalty(monkeypatch):
         monkeypatch.setattr(mod, "run_penalty", traced)
     harness.run_study(prob, config, 30, RandomStream(2))
     assert groups == [list(range(30))]
+
+
+def _grouped_study_case(case: str):
+    """``(problem, config, seed)`` of a study whose rounds no stacked kernel
+    takes: the P1 n=1 zeroth-order study of CI, or Q2 (two constraint rows)."""
+    if case == "Q2":
+        return _two_constraint_problem(), PenaltyConfig(epsilon=0.9, max_outer=3), 5
+    return (build_problem(TestProblemSpec("P1", n=1, sigma=0.1)),
+            PenaltyConfig(epsilon=0.9, max_outer=2, oracle_mode="szo"), 7)
+
+
+@pytest.mark.parametrize("case", ["P1 SZO", "Q2"])
+def test_lockstep_groups_run_szo_and_q2_studies_with_the_reference_bits(case, monkeypatch):
+    # the study runs as one group through the outer driver, which solves each
+    # round once per replication, never stacked; substituting run_penalty
+    # gives the reference, one run_penalty per replication through monte_carlo
+    prob, config, seed = _grouped_study_case(case)
+    solver = "solve_nsco_szo" if config.oracle_mode == "szo" else "solve_nsco_sfo"
+    groups, solves = [], []
+    run_lockstep, solve = harness._run_lockstep, getattr(spen.penalty, solver)
+    monkeypatch.setattr(harness, "_run_lockstep",
+                        lambda *args: groups.append(args[3]) or run_lockstep(*args))
+    monkeypatch.setattr(spen.penalty, solver, lambda *args: solves.append(args[1]) or solve(*args))
+    monkeypatch.setattr(spen.penalty, "_solve_rows",
+                        lambda *args: pytest.fail("a round was stacked"))
+    monkeypatch.setattr(harness, "_worker_count", lambda reps: 1)
+    # the same bits without the draw thread, which slows P1 n=1's small batches
+    monkeypatch.setattr(szo, "_spare_cpu", lambda: False)
+    grouped = harness.run_study(prob, config, 30, RandomStream(seed))
+    assert groups == [list(range(30))]
+    assert len(solves) == len(grouped.records) >= 30
+    own = harness.run_penalty
+    monkeypatch.setattr(harness, "run_penalty", lambda *args, **kwargs: own(*args, **kwargs))
+    reference = harness.run_study(prob, config, 30, RandomStream(seed))
+    assert groups == [list(range(30))]
+    assert grouped.mc.failures == reference.mc.failures == []
+    assert grouped.records == reference.records
+    for got, want in zip(grouped.mc.values.values(), reference.mc.values.values()):
+        assert got.state.x.tobytes() == want.state.x.tobytes()
+        assert got.state.G.tobytes() == want.state.G.tobytes()
+        assert got.certificate.lam.tobytes() == want.certificate.lam.tobytes()
+    assert grouped.mc.estimates == reference.mc.estimates
+    assert grouped.certificate.lam.tobytes() == reference.certificate.lam.tobytes()
+
+
+class _TypeErrorAt7(GaussianOracle):
+    """The wrapped oracle's draws, except that replication 7's first draw
+    raises a ``TypeError``, as a programming error would."""
+
+    def __init__(self, inner):
+        vars(self).update(vars(inner))
+
+    def gradient_batch(self, x, m, rng):
+        if rng.bit_generator.seed_seq.spawn_key[0] == 7:
+            raise TypeError("synthetic programming error in replication 7")
+        return super().gradient_batch(x, m, rng)
+
+
+@pytest.mark.parametrize("family", ["P2", "Q2"])
+@pytest.mark.parametrize("in_process", [False, True])
+def test_a_type_error_in_a_lockstep_group_propagates(family, in_process, monkeypatch):
+    # a programming error is no replication's failure: it leaves the group,
+    # stacked (P2) or solved once per replication (Q2), and run_study, and
+    # no worker is left behind
+    prob = (_two_constraint_problem() if family == "Q2"
+            else build_problem(TestProblemSpec(family, sigma=0.1)))
+    prob = dataclasses.replace(prob, oracle=_TypeErrorAt7(prob.oracle))
+    if in_process:
+        monkeypatch.setattr(harness, "_worker_count", lambda reps: 1)
+    with pytest.raises(TypeError, match="synthetic programming error in replication 7"):
+        harness.run_study(prob, PenaltyConfig(epsilon=0.9, max_outer=2), 30, RandomStream(1))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("in_process", [False, True])
+def test_a_study_config_that_is_not_a_penalty_config_raises_config_error(in_process,
+                                                                         monkeypatch):
+    prob = build_problem(TestProblemSpec("P2", sigma=0.1))
+    if in_process:
+        monkeypatch.setattr(harness, "_worker_count", lambda reps: 1)
+    with pytest.raises(ConfigError, match="needs a PenaltyConfig"):
+        harness.run_study(prob, {"epsilon": 0.4}, 30, RandomStream(0))
+    assert multiprocessing.active_children() == []
+
+
+def test_p3_solves_its_reference_pair_once_and_shares_it_read_only(monkeypatch):
+    # the damped Newton solve runs on the first P3 build of the process only;
+    # every build's known solution is read-only
+    first = build_problem(TestProblemSpec("P3"))
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *args: pytest.fail("P3's reference pair was solved again"))
+    second = build_problem(TestProblemSpec("P3"))
+    assert second.known_solution.x_star.tobytes() == first.known_solution.x_star.tobytes()
+    for sol in (first.known_solution, second.known_solution):
+        with pytest.raises(ValueError, match="read-only"):
+            sol.x_star[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            sol.lambda_star[0] = 0.0
 
 
 @pytest.mark.skipif(harness._worker_count(30) < 2, reason="needs two usable CPUs")
