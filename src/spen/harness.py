@@ -35,6 +35,7 @@ from .problems import (
     eval_constraints,
 )
 from .stats import ExpectationEstimate, mean_estimate
+from .subsolvers import _dot
 
 __all__ = [
     "FAMILIES",
@@ -296,7 +297,7 @@ def _build_p3(spec: TestProblemSpec) -> ConstrainedProblem:
     _check_spec_dimension(spec, 3, 3)
 
     def cons(x):
-        return np.array([x @ x - 1.0]), 2.0 * np.asarray(x, dtype=float).reshape(1, 3)
+        return np.array([_dot(x, x) - 1.0]), 2.0 * np.asarray(x, dtype=float).reshape(1, 3)
 
     constants = dict(
         L_g=15.0,

@@ -13,7 +13,7 @@ from .problems import ConstrainedProblem, ProblemConstants, RandomStream, eval_c
 # batch_gradient is unused here; test_installed_rebinds_every_namespace_and_restores reads it
 from .sfo import SolverBudget, _solve_rows, batch_gradient, sfo_budget, solve_nsco_sfo  # noqa: F401
 from .stats import ExpectationEstimate
-from .subsolvers import DEFAULT_MEASURE_TOL, phi, prox_step, theta
+from .subsolvers import DEFAULT_MEASURE_TOL, _dot, _norm, phi, prox_step, theta
 from .szo import szo_budget, solve_nsco_szo
 
 __all__ = [
@@ -236,7 +236,7 @@ def steer_penalty(
     ph = phi_at(candidate)
     if th <= DEFAULT_MEASURE_TOL or ph >= candidate * xi * th - DEFAULT_MEASURE_TOL:
         return SteeringResult(rho=candidate, theta=th, phi=ph, attempts=1)
-    g_norm = float(np.linalg.norm(state.G))
+    g_norm = _norm(state.G)
     rho_val = max(candidate, g_norm / ((1.0 - xi) * th))
     for attempt in range(MAX_STEER_DOUBLINGS + 1):
         ph = phi_at(rho_val)
@@ -397,8 +397,8 @@ def _stationarity(
         grad = problem.true_value_grad(state.x)[1]
     else:
         grad = state.G
-    resid = grad + jac.T @ lam
-    return float(resid @ resid), lam, c, jac
+    resid = grad + _dot(jac.T, lam)
+    return float(_dot(resid, resid)), lam, c, jac
 
 
 def _outer_loop(problem: ConstrainedProblem, config: PenaltyConfig, replication: int):

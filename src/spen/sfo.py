@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .problems import ConstrainedProblem, RandomStream, eval_constraints
-from .subsolvers import _aligned_rows, _prox_rows, prox_step
+from .subsolvers import _prox_rows, prox_step
 
 __all__ = [
     "SolverBudget",
@@ -323,9 +323,7 @@ def _solve_rows(
     rows = sorted(((_stop_index(budget, stream, None), i, budget.m, stream.child(1).generator(),
                     rho, budget.gamma) for i, (rho, _, budget, stream) in enumerate(rounds)),
                   key=lambda row: -row[0])
-    # aligned as the scalar loop's iterates are: the problem's callables take
-    # the rows, and P3's constraint forms x @ x
-    x = _aligned_rows(np.array([rounds[row[1]][1] for row in rows], dtype=float))
+    x = np.array([rounds[row[1]][1] for row in rows], dtype=float)
     columns = [list(col) for col in zip(*rows)]
     r_stop, ids, ms, rngs, rho, gamma = columns
     k = 0  # the inner iterations every row of the stack has taken

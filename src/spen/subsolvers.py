@@ -27,7 +27,9 @@ the key, about a microsecond in all.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,14 +84,28 @@ class BallSubproblemResult:
     measure: float
 
 
+def _dot(a: np.ndarray, b: np.ndarray):
+    """``np.add.reduce(a * b, -1)``, for 1-D float vectors or stacks of rows:
+    numpy sums each row in one order on every BLAS kernel, so a stacked row has
+    the bits of the vector alone.  Below 8 entries that order is a left-to-right
+    sum from 0.0, which Python forms faster for one vector, warning of nothing."""
+    if a.ndim == 1 and a.size < 8:
+        return functools.reduce(operator.add, map(operator.mul, a.tolist(), b.tolist()), 0.0)
+    return np.add.reduce(a * b, -1)
+
+
 def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D float vector: the bits of ``np.linalg.norm`` while
-    its sum of squares is finite, and no overflow warning when it is not."""
-    s = np.vdot(v, v)  # dot's BLAS sum, without dot's check that warns on overflow
+    """Euclidean norm of a 1-D float vector: ``sqrt(_dot(v, v))`` while that
+    sum of squares is finite, and no overflow warning when it is not."""
+    if v.size < 8:  # _dot's Python sum, which cannot warn
+        s = _dot(v, v)
+    else:
+        with np.errstate(over="ignore"):
+            s = float(_dot(v, v))
     if math.isfinite(s) or not np.isfinite(v).all():
         return math.sqrt(s)
     top = float(np.abs(v).max())
-    return top * math.sqrt(np.vdot(v / top, v / top))
+    return top * math.sqrt(_dot(v / top, v / top))
 
 
 def _as_jacobian(jac) -> np.ndarray:
@@ -201,11 +217,21 @@ def _prox_eigenbasis(jac: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndar
 
 def _singular_basis(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Full SVD ``J = U diag(sv) V'`` and the rank ``k``: singular values at
-    or below 1e-14 of the largest are taken as zero."""
+    or below 1e-14 of the largest are taken as zero.  One row ``j`` has a closed
+    form free of LAPACK: ``sv = ||j||``, ``U = [[1]]``, and ``V'`` the reflector
+    ``I - 2ww'/w'w``, ``w = v + sign(v[0])e1``, signed so that ``V'e1 = v =
+    j/||j||`` (the identity for ``j = 0``).  More rows take LAPACK's ``svd``."""
     key = (jac.shape, jac.strides, jac.tobytes())
     entry = _memo.get("svd")
     if entry is None or entry[0] != key:
-        u, sv, vt = np.linalg.svd(jac)
+        if jac.shape[0] == 1:
+            u, sv, vt = np.ones((1, 1)), np.array([_norm(jac[0])]), np.eye(jac.shape[1])
+            if sv[0] > 0.0:
+                w, sign = jac[0] / sv[0], -1.0 if jac[0, 0] < 0.0 else 1.0
+                w[0] += sign  # no cancellation: |w[0]| = 1 + |v[0]| = w'w/2
+                vt = sign * (np.multiply.outer(w, w) / abs(w[0]) - vt)
+        else:
+            u, sv, vt = np.linalg.svd(jac)
         for a in (u, sv, vt):
             a.setflags(write=False)
         entry = _memo["svd"] = (key, u, sv, vt, int(np.count_nonzero(sv > sv[0] * 1e-14)))
@@ -275,15 +301,15 @@ def prox_step(
     if jac.shape[0] == 1:
         j = jac[0]
         c0 = float(c[0])
-        a = gamma * float(j.dot(j))
-        b = c0 - gamma * float(j.dot(g))
+        a = gamma * float(_dot(j, j))
+        b = c0 - gamma * float(_dot(j, g))
         if a > 0.0:
             lam0 = min(max(b / a, -rho), rho)
         else:
             lam0 = math.copysign(rho, b) if b != 0.0 else 0.0
         p_gamma = g + lam0 * j
         d = -gamma * p_gamma
-        t = c0 + float(j.dot(d))
+        t = c0 + float(_dot(j, d))
         gap = rho * abs(t) - lam0 * t
         lam = np.array([lam0])
     else:
@@ -326,20 +352,17 @@ def _prox_rows(
     its gap within ``DEFAULT_PROX_TOL`` as ``_check_gap`` requires, and where
     it does, row ``i`` of ``x_plus``, of ``lam`` ``(B, 1)`` and ``gap[i]``
     have the bits of its result.  Such a call warns at most of an overflow.
-    The rows of ``x_plus`` start on 16-byte boundaries (:func:`_aligned_rows`).
-    Call this under ``np.errstate(all="ignore")``: a row whose call would
-    raise can overflow or produce a NaN here.
+    The products are :func:`_dot`'s, row by row, and the scalars the call's
+    own float arithmetic.  Call this under ``np.errstate(all="ignore")``: a
+    row whose call would raise can overflow or produce a NaN here.
     """
-    # (B,1,n) @ (B,n,1) is one BLAS dot per row, the bits of j.dot(v) on
-    # aligned rows; the scalars are prox_step's own float arithmetic, row by row
-    g, jac = _aligned_rows(g), _aligned_rows(jac)
+    j = jac[:, 0]
     c = c.ravel().tolist()
-    jj = (jac @ jac.transpose(0, 2, 1)).ravel().tolist()
-    if len(jj) < len(c):
+    jj = _dot(j, j).tolist()
+    if len(jj) < len(c):  # one row for every call
         jj *= len(c)
     lam = []
-    for jj_i, jg_i, c0, r, gm in zip(jj, (jac @ g[:, :, None]).ravel().tolist(), c, rho,
-                                     gamma):
+    for jj_i, jg_i, c0, r, gm in zip(jj, _dot(j, g).tolist(), c, rho, gamma):
         a, b = gm * jj_i, c0 - gm * jg_i
         if a > 0.0:
             q = b / a
@@ -348,29 +371,16 @@ def _prox_rows(
         else:
             lam.append(math.copysign(r, b) if b != 0.0 else 0.0)
     lam_col = np.array(lam).reshape(-1, 1)
-    d = _aligned_rows(np.array([-gm for gm in gamma]).reshape(-1, 1) * (g + lam_col * jac[:, 0]))
-    t = [c0 + jd for c0, jd in zip(c, (jac @ d[:, :, None]).ravel().tolist())]
+    d = np.array([-gm for gm in gamma]).reshape(-1, 1) * (g + lam_col * j)
+    t = [c0 + jd for c0, jd in zip(c, _dot(j, d).tolist())]
     gap = [r * abs(t_i) - lam0 * t_i for t_i, lam0, r in zip(t, lam, rho)]
-    return _aligned_rows(x + d), lam_col, gap, [gap_i <= DEFAULT_PROX_TOL for gap_i in gap]
-
-
-def _aligned_rows(a: np.ndarray) -> np.ndarray:
-    """``a``, or a copy whose rows along the last axis start on 16-byte
-    boundaries, as a fresh vector does: rows of odd length alternate, and some
-    BLAS kernels (OpenBLAS's Prescott one) round a dot of three or more
-    float64 entries differently on a vector that is not 16-byte aligned."""
-    n = a.shape[-1]
-    if n % 2 == 0 or n == 1 or a.size == n:
-        return a
-    rows = np.empty(a.shape[:-1] + (n + 1,))[..., :n]
-    rows[...] = a
-    return rows
+    return x + d, lam_col, gap, [gap_i <= DEFAULT_PROX_TOL for gap_i in gap]
 
 
 def _theta_q1(c: np.ndarray, jac: np.ndarray) -> BallSubproblemResult:
     # single constraint: the inner product ranges over [-||j||, ||j||]
     j = jac[0]
-    nj = float(np.linalg.norm(j))
+    nj = _norm(j)
     c0 = float(c[0])
     if nj == 0.0:
         return BallSubproblemResult(np.zeros(j.size), abs(c0), 0.0, 0.0)
@@ -441,7 +451,8 @@ def phi(g: np.ndarray, c: np.ndarray, jac: np.ndarray, rho: float) -> BallSubpro
     least-norm minimizer of ``||g + J' lam||``, moved within null(J')
     towards ``c`` out to the sphere, gives ``s`` in closed form: the optimum
     if ``g`` lies in the row space of ``J`` and ``s`` fits the ball, else
-    the search's seed.
+    the search's seed.  The products are :func:`_dot`'s: with one constraint
+    row, phi makes no BLAS or LAPACK call.
 
     ``gap`` is ``P(s) - D(lam)``, ``D(lam) = <lam, c> - ||g + J' lam||``, for
     the best points seen (``s`` scaled into the ball); a negative ``rho``, a
@@ -458,32 +469,32 @@ def phi(g: np.ndarray, c: np.ndarray, jac: np.ndarray, rho: float) -> BallSubpro
         c, jac = np.zeros(1), np.zeros((1, g.size))
     u, sv, vt, k = _singular_basis(jac)
     sig, w = sv[:k], sv[:k] ** 2
-    gt, ct = vt @ g, u.T @ c
+    gt, ct = _dot(vt, g), _dot(u.T, c)
     g_r, g_n, c_r, c_n = gt[:k], gt[k:], ct[:k], ct[k:]
     best_p, best_s, best_d = math.inf, np.zeros(g.size), -math.inf
 
     def offer(mu, ratio):
         # record the path point at mu with nu/mu = ratio; return ||s(mu)||
         nonlocal best_p, best_s, best_d
-        lam = u @ np.concatenate((
+        lam = _dot(u, np.concatenate((
             (mu * c_r - sig * g_r) / (ratio * mu + w),
             c_n / ratio if ratio > 0.0 else np.zeros(c_n.size),
-        ))
+        )))
         # s is -g_n/mu along null(J), and in the row space of J it solves
         # c + J s = ratio*lam: a solve and one refinement step
-        s = vt[k:].T @ (g_n / -mu) if mu > 0.0 else np.zeros(g.size)
+        s = _dot(vt[k:].T, g_n / -mu) if mu > 0.0 else np.zeros(g.size)
         for _ in range(2):
-            s -= vt[:k].T @ ((u[:, :k].T @ (c + jac @ s - ratio * lam)) / sig)
+            s -= _dot(vt[:k].T, _dot(u[:, :k].T, c + _dot(jac, s) - ratio * lam) / sig)
         norm_s = _norm(s)
         s = s / max(norm_s, 1.0)
-        p = float(g @ s) + rho * _norm(c + jac @ s)
+        p = float(_dot(g, s)) + rho * _norm(c + _dot(jac, s))
         if p < best_p:
             best_p, best_s = p, s
-        best_d = max(best_d, float(lam @ c) - _norm(g + jac.T @ lam))
+        best_d = max(best_d, float(_dot(lam, c)) - _norm(g + _dot(jac.T, lam)))
         return norm_s
 
     # mu = 0: lam0 = U(-g_r/sig), plus the slack of the ball along c_n
-    slack_sq = rho * rho - float(g_r @ (g_r / w))
+    slack_sq = rho * rho - float(_dot(g_r, g_r / w))
     done, guess = False, 0.0
     if slack_sq > 0.0 or (slack_sq == 0.0 and not c_n.any()):
         norm_s0 = offer(0.0, _norm(c_n) / math.sqrt(slack_sq) if c_n.any() else 0.0)

@@ -7,7 +7,9 @@ out in full.  With more, the reference solves the dual
 ``A = gamma*J J'`` and ``b = c - gamma*J g`` by an eigendecomposition (the
 least-norm stationary point if it lies in the ball, else the root of the
 secular equation), builds ``d = -gamma*(g + J' lam)``, and evaluates the
-primal and dual objectives separately.
+primal and dual objectives separately.  The one-row products and every norm
+use the library's fixed-order product ``np.add.reduce(a * b, -1)``, which
+sums in the same order on every BLAS kernel.
 """
 
 import math
@@ -15,25 +17,34 @@ import math
 import numpy as np
 
 
+def dot(a, b):
+    """The fixed-order product ``np.add.reduce(a * b, -1)``."""
+    return np.add.reduce(a * b, -1)
+
+
+def norm(v):
+    return math.sqrt(dot(v, v))
+
+
 def prox_q1(x, g, c, jac, rho, gamma):
     """``(x_plus, d, lam, p_gamma, gap)`` of the one-row prox step."""
     j = jac[0]
     c0 = float(c[0])
-    a = gamma * float(j.dot(j))
-    b = c0 - gamma * float(j.dot(g))
+    a = gamma * float(dot(j, j))
+    b = c0 - gamma * float(dot(j, g))
     if a > 0.0:
         lam0 = min(max(b / a, -rho), rho)
     else:
         lam0 = math.copysign(rho, b) if b != 0.0 else 0.0
     p_gamma = g + lam0 * j
     d = -gamma * p_gamma
-    t = c0 + float(j.dot(d))
+    t = c0 + float(dot(j, d))
     gap = rho * abs(t) - lam0 * t
     return x + d, d, np.array([lam0]), p_gamma, gap
 
 
 def secular_root(w, beta, radius):
-    norm_b = float(np.linalg.norm(beta))
+    norm_b = norm(beta)
     if norm_b == 0.0:
         return 0.0
     hi = norm_b / radius
@@ -70,13 +81,13 @@ def dual_ball_quadratic(a_mat, b, radius):
     w_top = float(w[-1])
     mask = w > max(w_top, 1.0) * 1e-14
     lam_ln = q_mat @ np.where(mask, beta / np.where(mask, w, 1.0), 0.0)
-    resid = float(np.linalg.norm(a_mat @ lam_ln - b))
-    scale = float(np.linalg.norm(b)) + w_top * float(np.linalg.norm(lam_ln)) + 1.0
-    if resid <= 1e-11 * scale and float(np.linalg.norm(lam_ln)) <= radius:
+    resid = norm(a_mat @ lam_ln - b)
+    scale = norm(b) + w_top * norm(lam_ln) + 1.0
+    if resid <= 1e-11 * scale and norm(lam_ln) <= radius:
         return lam_ln
     nu = secular_root(w, beta, radius)
     if nu == 0.0:
-        return lam_ln * (radius / max(float(np.linalg.norm(lam_ln)), 1e-300))
+        return lam_ln * (radius / max(norm(lam_ln), 1e-300))
     return q_mat @ (beta / (w + nu))
 
 
@@ -84,6 +95,6 @@ def prox_from_dual(x, g, c, jac, rho, gamma, lam):
     """``(x_plus, d, p_gamma, primal, dual)`` for the dual point ``lam``."""
     p_gamma = g + jac.T @ lam
     d = -gamma * p_gamma
-    primal = float(g @ d + rho * np.linalg.norm(c + jac @ d) + d @ d / (2.0 * gamma))
+    primal = float(g @ d + rho * norm(c + jac @ d) + d @ d / (2.0 * gamma))
     dual = float(lam @ c - 0.5 * gamma * (p_gamma @ p_gamma))
     return x + d, d, p_gamma, primal, dual

@@ -11,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spen.cli
 import spen.penalty
@@ -390,6 +392,102 @@ def test_lockstep_study_matches_the_reference_bit_for_bit(family, in_process, mo
     assert lockstep.certificate.lam.tobytes() == reference.certificate.lam.tobytes()
     assert lockstep.mc.estimates == reference.mc.estimates
     assert lockstep.certificate.verdict == reference.certificate.verdict
+
+
+class _GroupingOracle(GaussianOracle):
+    """The wrapped oracle's gradient samples, or uniform ones of the same
+    variance in a Fortran-ordered batch, which ``_batch_means`` does not stack
+    (``uniform``).  ``fail = (rep, round, t, kind)`` makes replication
+    ``rep``'s ``t``-th draw of that round raise (``kind`` "raise") or come out
+    NaN, which the inner loop's finite check refuses."""
+
+    def __init__(self, inner, uniform, fail):
+        vars(self).update(vars(inner))
+        self.uniform, self.fail, self.draws = uniform, fail, {}
+
+    def gradient_batch(self, x, m, rng):
+        key = rng.bit_generator.seed_seq.spawn_key[:2]
+        t = self.draws[key] = self.draws.get(key, 0) + 1
+        if self.uniform:
+            g = np.asarray(self.grad(x), dtype=float)
+            half = self.sigma * math.sqrt(3.0 / g.size)
+            batch = np.asfortranarray(g + rng.uniform(-half, half, (m, g.size)))
+        else:
+            batch = super().gradient_batch(x, m, rng)
+        if self.fail is not None and key + (t,) == self.fail[:3]:
+            if self.fail[3] == "raise":
+                raise DomainError(f"synthetic failure at draw {t}")
+            batch[...] = np.nan
+        return batch
+
+
+# case: (family, n, rounds, uniform noise); P3 as in the test above
+_GROUPING_CASES = {
+    "P1 n=1": ("P1", 1, 2, False), "P1 n=2": ("P1", 2, 2, False), "P1 n=3": ("P1", 3, 2, False),
+    "P2": ("P2", None, 2, False), "P3": ("P3", None, 1, False),
+    "DEBUG-BADJAC": ("DEBUG-BADJAC", None, 2, False), "P2 uniform": ("P2", None, 2, True),
+}
+
+
+def _grouping_problem(case, fail=None):
+    family, n, _, uniform = _GROUPING_CASES[case]
+    prob = build_problem(TestProblemSpec(family, n=n, sigma=0.03 if family == "P3" else 0.1))
+    if family == "P3":
+        prob = dataclasses.replace(prob, constants=dataclasses.replace(
+            prob.constants, kappa_f=0.1, kappa_c=0.05, f_low=0.0))
+    return dataclasses.replace(prob, oracle=_GroupingOracle(prob.oracle, uniform, fail))
+
+
+def _run_alone(case, rep, fail=None):
+    config = PenaltyConfig(epsilon=0.9, max_outer=_GROUPING_CASES[case][2] + 1)
+    try:
+        return spen.penalty.run_penalty(_grouping_problem(case, fail), config,
+                                        RandomStream(5).child(rep), rep)
+    except SpenError as err:
+        return err
+
+
+@functools.cache
+def _runs_alone(case):
+    return tuple(_run_alone(case, rep) for rep in range(30))
+
+
+@st.composite
+def _groupings(draw):
+    # a case, 30 replications cut into groups in a random order, and
+    # possibly one failure at a random round and inner iteration
+    case = draw(st.sampled_from(sorted(_GROUPING_CASES)))
+    order = draw(st.permutations(range(30)))
+    cuts = sorted(draw(st.sets(st.integers(1, 29), max_size=8)))
+    groups = [order[i:j] for i, j in zip([0] + cuts, cuts + [30])]
+    fail = draw(st.none() | st.tuples(st.integers(0, 29), st.integers(1, _GROUPING_CASES[case][2]),
+                                      st.integers(1, 12), st.sampled_from(["raise", "nan"])))
+    return case, groups, fail
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(_groupings())
+def test_lockstep_grouping_keeps_each_runs_bits(grouping):
+    # however the replications are grouped, and in whatever order the groups
+    # and their members run, each one's result or error is run_penalty's
+    case, groups, fail = grouping
+    want = list(_runs_alone(case))
+    if fail is not None:
+        want[fail[0]] = _run_alone(case, fail[0], fail)
+    prob = _grouping_problem(case, fail)
+    config = PenaltyConfig(epsilon=0.9, max_outer=_GROUPING_CASES[case][2] + 1)
+    for group in groups:
+        got = spen.penalty._run_lockstep(prob, config,
+                                         [RandomStream(5).child(rep) for rep in group], group)
+        for rep, res in zip(group, got):
+            ref = want[rep]
+            if isinstance(ref, Exception):
+                assert (type(res), str(res)) == (type(ref), str(ref)), rep
+                continue
+            assert res.records == ref.records, rep
+            assert res.state.x.tobytes() == ref.state.x.tobytes()
+            assert res.state.G.tobytes() == ref.state.G.tobytes()
+            assert res.certificate.lam.tobytes() == ref.certificate.lam.tobytes()
 
 
 def _count_outer_loops(monkeypatch) -> list[int]:

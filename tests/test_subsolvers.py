@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from grid_reference import draw_instance, grid_references, prox_objective
 from phi_reference import phi as phi_iterative
 from prox_reference import dual_ball_quadratic, prox_from_dual, prox_q1
+from prox_reference import dot as reference_dot, norm as reference_norm
 from spen import (
     DEFAULT_PROX_TOL,
     SubsolverError,
@@ -167,7 +168,7 @@ def test_prox_q2_matches_reference_bit_for_bit():
         x, g, c, jac, rho, gamma = _q2_prox_instance(rng)
         pr = prox_step(x, g, c, jac, rho, gamma)
         lam = dual_ball_quadratic(gamma * (jac @ jac.T), c - gamma * (jac @ g), rho)
-        norm_lam = float(np.linalg.norm(lam))
+        norm_lam = reference_norm(lam)
         # the reference's secular root can stop short of a tiny root; its
         # dual is then pulled back onto the sphere
         if norm_lam > rho * (1.0 + 1e-14):
@@ -243,20 +244,6 @@ def test_prox_rows_match_prox_step_bit_for_bit(stack):
         assert x_plus[i].tobytes() == pr.x_plus.tobytes()
         assert lam[i].tobytes() == pr.lam.tobytes()
         assert gap[i] == pr.gap and np.signbit(gap[i]) == np.signbit(pr.gap)
-
-
-def test_aligned_rows_start_every_row_on_16_bytes():
-    # rows of three entries alternate alignment in a plain stack; the copy
-    # puts every row on a 16-byte boundary and keeps the values. Even rows,
-    # rows of one entry and a single row are returned as they are
-    for shape in ((5, 3), (4, 1, 3), (3, 7)):
-        a = np.arange(float(np.prod(shape))).reshape(shape)
-        rows = subsolvers._aligned_rows(a)
-        assert rows.tobytes() == a.tobytes()
-        assert all(row.ctypes.data % 16 == 0 for row in (rows if rows.ndim == 2 else rows[:, 0]))
-    for shape in ((5, 2), (5, 1), (1, 1, 3)):
-        a = np.ones(shape)
-        assert subsolvers._aligned_rows(a) is a
 
 
 def test_prox_rows_refuse_an_overflowing_row_and_keep_the_others():
@@ -626,7 +613,8 @@ def test_phi_exact_solve_properties(instance):
     r = phi(g, c, jac, rho)
     assert r.gap <= 1e-8
     assert np.linalg.norm(r.s_star) <= 1.0 + 1e-12
-    assert r.value == float(g @ r.s_star) + rho * np.linalg.norm(c + jac @ r.s_star)
+    assert r.value == float(reference_dot(g, r.s_star)) + rho * reference_norm(
+        c + reference_dot(jac, r.s_star))
     assert r.measure >= 0.0
 
 
@@ -863,15 +851,53 @@ def test_factorization_memo_under_threads():
     assert not errors and not mismatches
 
 
+def test_dot_sums_a_vector_and_each_row_of_a_stack_in_one_order():
+    # a vector's product has the bits of its row in a stack, contiguous or
+    # strided; below 8 entries the Python sum is the reduce, signed zeros
+    # included (float.hex tells -0.0 from 0.0)
+    rng = np.random.default_rng(31)
+    for n in range(1, 41):
+        a = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-8, 9, (6, n))
+        b = rng.standard_normal((6, n))
+        a[0], a[1, ::2], b[2, 1::2] = -0.0, 0.0, -0.0  # rows of signed zero products
+        for a_s, b_s in ((a, b), (np.repeat(a, 2, axis=1)[:, ::2], np.asfortranarray(b)),
+                         (a[::-2], b[::-2].T.copy().T)):
+            rows = subsolvers._dot(a_s, b_s)
+            assert rows.shape == (a_s.shape[0],)
+            for i, row in enumerate(rows):
+                one = subsolvers._dot(a_s[i], b_s[i])
+                assert float(one).hex() == float(row).hex()
+                if n < 8:
+                    assert type(one) is float
+                    assert one.hex() == float(np.add.reduce(a_s[i] * b_s[i])).hex()
+        shared = subsolvers._dot(a[:1], b)  # one row against a stack, as a shared Jacobian
+        assert [float(v).hex() for v in shared] == [
+            float(subsolvers._dot(a[0], b_i)).hex() for b_i in b]
+
+
+def test_dot_passes_inf_and_nan_through_without_a_warning():
+    rng = np.random.default_rng(32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(1, 41):
+            for bad in (np.inf, -np.inf, np.nan):
+                a = rng.standard_normal(n)
+                a[rng.integers(n)] = bad
+                b = rng.uniform(0.5, 2.0, n)
+                one, rows = subsolvers._dot(a, b), subsolvers._dot(np.array([a, b]), np.array([b, b]))
+                assert math.isnan(one) if math.isnan(bad) else one == bad
+                assert float(rows[0]).hex() == float(one).hex() and math.isfinite(rows[1])
+
+
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(arrays(np.float64, st.integers(1, 300),
               elements=st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)))
 def test_norm_has_the_bits_of_the_plain_sum_of_squares(v):
     # wherever the sum of squares is finite, the overflow-safe norm is the
-    # plain one, on contiguous and strided vectors, short and past the
-    # lengths where BLAS kernels unroll their sums
+    # plain one, the root of the fixed-order sum of squares, on contiguous and
+    # strided vectors, short and past the lengths where numpy unrolls its sums
     for w in (v, np.repeat(v, 2)[::2], np.repeat(v, 3)[1::3]):
-        assert subsolvers._norm(w).hex() == math.sqrt(w.dot(w)).hex()
+        assert subsolvers._norm(w).hex() == math.sqrt(np.add.reduce(w * w)).hex()
 
 
 def test_norm_of_huge_finite_vectors_is_finite_without_a_warning():
