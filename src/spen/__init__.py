@@ -53,6 +53,7 @@ from .problems import (
     ProblemConstants,
     RandomStream,
     eval_constraints,
+    stackable,
 )
 from .sfo import (
     NscoRunResult,

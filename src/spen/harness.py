@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, SpenError
 from .penalty import CriticalityCertificate, PenaltyConfig, PenaltyRunResult, RunRecord
-from .penalty import _run_lockstep, certificate_from_estimates, run_penalty
+from .penalty import _run_lockstep, _stacks, certificate_from_estimates, run_penalty
 from .problems import (
     ConstrainedProblem,
     GaussianOracle,
@@ -33,6 +33,7 @@ from .problems import (
     RandomStream,
     _frozen,
     eval_constraints,
+    stackable,
 )
 from .stats import ExpectationEstimate, mean_estimate
 from .subsolvers import _dot
@@ -174,11 +175,13 @@ def _build_p1(spec: TestProblemSpec) -> ConstrainedProblem:
         x = np.asarray(x, dtype=float)
         return np.sum(1.0 - np.cos(x), axis=-1) + 0.05 * np.sum(x * x, axis=-1)
 
+    @stackable
     def fgrad(x):
         return np.sin(x) + 0.1 * x
 
+    @stackable
     def cons(x):
-        return np.zeros(1), jac
+        return (np.zeros(1) if x.ndim == 1 else np.zeros((len(x), 1))), jac
 
     constants = dict(
         L_g=1.1,
@@ -206,11 +209,15 @@ def _build_p2(spec: TestProblemSpec, corrupt_jacobian: bool = False) -> Constrai
         f *= 0.5
         return f
 
+    @stackable
     def fgrad(x):
         return np.asarray(x, dtype=float) - _P2_TARGET
 
+    @stackable
     def cons(x):
-        return np.array([x[0] + x[1] - 1.0]), jac
+        if x.ndim == 1:  # a branch, not x[..., 0], keeps one point's call cheap
+            return np.array([x[0] + x[1] - 1.0]), jac
+        return x[:, :1] + x[:, 1:] - 1.0, jac
 
     constants = dict(
         L_g=1.0,
@@ -230,18 +237,22 @@ _P3_B = np.array([1.0, 0.5, 1.5])
 _P3_D = np.array([0.3, -0.2, 0.1])
 
 
+# products, not ``x**3`` and ``x**4``: numpy's SIMD power rounds differently
+# with and without AVX-512
 def _p3_value(x):
     x = np.asarray(x, dtype=float)
+    x2 = x * x
     return (
-        0.25 * np.sum(_P3_A * x**4, axis=-1)
-        - 0.5 * np.sum(_P3_B * x**2, axis=-1)
+        0.25 * np.sum(_P3_A * (x2 * x2), axis=-1)
+        - 0.5 * np.sum(_P3_B * x2, axis=-1)
         + np.sum(_P3_D * x, axis=-1)
     )
 
 
+@stackable
 def _p3_grad(x):
     x = np.asarray(x, dtype=float)
-    return _P3_A * x**3 - _P3_B * x + _P3_D
+    return _P3_A * (x * x * x) - _P3_B * x + _P3_D
 
 
 @functools.cache
@@ -296,8 +307,11 @@ def _solve_p3_kkt() -> tuple[np.ndarray, float]:
 def _build_p3(spec: TestProblemSpec) -> ConstrainedProblem:
     _check_spec_dimension(spec, 3, 3)
 
+    @stackable
     def cons(x):
-        return np.array([_dot(x, x) - 1.0]), 2.0 * np.asarray(x, dtype=float).reshape(1, 3)
+        if x.ndim == 1:
+            return np.array([_dot(x, x) - 1.0]), 2.0 * np.asarray(x, dtype=float).reshape(1, 3)
+        return (_dot(x, x) - 1.0)[:, None], 2.0 * x[:, None]
 
     constants = dict(
         L_g=15.0,
@@ -323,13 +337,17 @@ def _build_rosen(spec: TestProblemSpec) -> ConstrainedProblem:
         d, e = x2 - x1 * x1, 1.0 - x1
         return 100.0 * (d * d) + e * e
 
+    @stackable
     def fgrad(x):
-        x1, x2 = x[0], x[1]
+        x1, x2 = (x[0], x[1]) if x.ndim == 1 else (x[:, 0], x[:, 1])
         d, e = x2 - x1 * x1, 1.0 - x1
-        return np.array([-400.0 * x1 * d - 2.0 * e, 200.0 * d])
+        return np.array([-400.0 * x1 * d - 2.0 * e, 200.0 * d]).T
 
+    @stackable
     def cons(x):
-        return np.array([x[0] + x[1] - 1.0]), jac
+        if x.ndim == 1:
+            return np.array([x[0] + x[1] - 1.0]), jac
+        return x[:, :1] + x[:, 1:] - 1.0, jac
 
     # on the feasible line x = (t, 1 - t) the objective's derivative is
     # 400t^3 + 600t^2 - 198t - 202; x_star is the real root with least f
@@ -552,14 +570,16 @@ def run_study(
     """Run :func:`run_penalty` as replication ``rep`` on ``stream.child(rep)``
     for each ``rep < reps``, and certify the estimates.
 
-    The replications run in groups, one group per worker of the pool that
-    :func:`monte_carlo` would start (the whole study in this process where it
-    would run there), each group through ``penalty._run_lockstep``, the outer
-    driver that ``run_penalty`` runs one replication with: a group's rounds
-    move together, and that driver alone decides whether a round's inner
-    solves stack (first-order, one constraint row) or run one per
-    replication.  A replication that raises comes back as its error, which
-    ``failures`` records as ``monte_carlo`` does; none runs twice.  While
+    The replications run in groups, each through ``penalty._run_lockstep``,
+    the outer driver that ``run_penalty`` runs one replication with: a
+    group's rounds move together, and that driver alone decides whether a
+    round's inner solves stack (``penalty._stacks``: first-order, one
+    constraint row) or run one per replication.  A study whose rounds stack
+    runs one group per worker of :func:`monte_carlo`'s pool (the whole study
+    when it has one worker), and any other study one replication per task,
+    each worker taking the next as it finishes one.  A replication that
+    raises comes back as its error, which ``failures`` records as
+    ``monte_carlo`` does; none runs twice.  While
     this module's ``run_penalty`` is not the library's own (a test's or a
     tracer's substitute), the study runs one ``run_penalty`` per replication
     through ``monte_carlo`` instead.  Either way records and the multiplier
@@ -569,7 +589,8 @@ def run_study(
     if getattr(run_penalty, "__code__", None) is _RUN_PENALTY_CODE:
         _check_reps(reps)
         workers = _worker_count(reps)
-        groups = [list(range(w, reps, workers)) for w in range(workers)]
+        groups = ([list(range(w, reps, workers)) for w in range(workers)]
+                  if _stacks(problem, config) else [[rep] for rep in range(reps)])
         task = functools.partial(_run_group, problem, config, stream)
         outcomes = [out for group in _pool_map(task, groups, workers) for out in group]
         mc = _collect(reps, [rep for group in groups for rep in group], outcomes)

@@ -506,6 +506,16 @@ def run_penalty(
     return result
 
 
+def _stacks(problem: ConstrainedProblem, config: PenaltyConfig) -> bool:
+    """Whether :func:`_run_lockstep` stacks the inner solves of a round of
+    several runs of ``config`` on ``problem``: first-order runs on a problem
+    with one constraint row.  Raises ``ConfigError`` for a ``config`` that is
+    not a ``PenaltyConfig``."""
+    if not isinstance(config, PenaltyConfig):
+        raise ConfigError("run_penalty needs a PenaltyConfig")
+    return config.oracle_mode == "sfo" and problem.q == 1
+
+
 def _run_lockstep(
     problem: ConstrainedProblem,
     config: PenaltyConfig,
@@ -518,17 +528,14 @@ def _run_lockstep(
 
     Each run keeps its own outer loop (steering, budget, records,
     certificate).  The inner solves of a round run in lockstep through
-    :func:`_solve_rows` when the runs are first-order, the problem has one
-    constraint row and there are two or more runs; otherwise the mode's
-    solver runs once per run.  Entry ``i`` is run ``i``'s result, or the
-    first error it raised, with its message; a round's ``BudgetExceeded``
-    names the round (``outer round k: ...``).  Either way entry ``i`` has
-    the same bits however the runs are grouped.
+    :func:`_solve_rows` when :func:`_stacks` says so and there are two or
+    more runs; otherwise the mode's solver runs once per run.  Entry ``i``
+    is run ``i``'s result, or the first error it raised, with its message;
+    a round's ``BudgetExceeded`` names the round (``outer round k: ...``).
+    Either way entry ``i`` has the same bits however the runs are grouped.
     """
-    if not isinstance(config, PenaltyConfig):
-        raise ConfigError("run_penalty needs a PenaltyConfig")
+    stacked = _stacks(problem, config) and len(streams) > 1
     solver = solve_nsco_sfo if config.oracle_mode == "sfo" else solve_nsco_szo
-    stacked = config.oracle_mode == "sfo" and problem.q == 1 and len(streams) > 1
     loops = [_outer_loop(problem, config, rep) for rep in replications]
     results: list[PenaltyRunResult | Exception] = [None] * len(loops)
     pending: dict[int, tuple] = {}

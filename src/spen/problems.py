@@ -25,6 +25,7 @@ __all__ = [
     "KnownSolution",
     "ConstrainedProblem",
     "eval_constraints",
+    "stackable",
 ]
 
 
@@ -95,7 +96,8 @@ class GaussianOracle:
     It serves both methods of the oracle contract (see
     :class:`ConstrainedProblem`) and declares nothing about its draws: in a
     zeroth-order run its ``rng`` is a stream of its own, apart from the
-    estimator's directions.  ``grad`` takes a point of shape ``(n,)``;
+    estimator's directions.  ``grad`` takes a point of shape ``(n,)``, and
+    also a stack of points when it is marked :func:`stackable`;
     ``value`` takes a batch of shape ``(m, n)`` and returns shape ``(m,)``.
     The zeroth-order estimator passes that batch as a column-major view of a
     buffer it reuses, valid only during the call, so that numpy's loops run
@@ -161,6 +163,26 @@ class GaussianOracle:
         return fa, fb
 
 
+def stackable(fn: Callable) -> Callable:
+    """Declare that ``fn``, an oracle's ``grad`` or a problem's
+    ``constraints``, also takes a stack of points, shape ``(B, n)``, and
+    answers for every row at once with the bits of one call per row:
+    ``grad`` with shape ``(B, n)``, ``constraints`` with ``c`` of shape
+    ``(B, q)`` and ``J`` of shape ``(B, q, n)``, or one ``(q, n)`` that
+    every row shares.  Returns ``fn``, marked.
+
+    A first-order study stacks the inner iterations of its replications.
+    When the problem's oracle is a :class:`GaussianOracle` with noise, and
+    its ``grad`` and the problem's ``constraints`` both carry this mark,
+    each stacked iteration makes one call of each on the stack, and each
+    replication draws its noise in blocks of iterations from its own
+    stream.  Otherwise each replication calls them on its own point.  The
+    mark stays with the function: a problem whose ``constraints`` is
+    replaced by an unmarked wrapper makes one call per replication."""
+    fn.stackable = True
+    return fn
+
+
 @dataclass(frozen=True)
 class KnownSolution:
     """Reference primal-dual solution stored with a test problem."""
@@ -182,7 +204,8 @@ class ConstrainedProblem:
 
     ``constraints`` maps a point to ``(c, J)`` with shapes ``(q,)`` and
     ``(q, n)`` and is exact; it may return one shared read-only ``J`` on
-    every call (spen never writes to ``J``).  ``oracle`` needs only the
+    every call (spen never writes to ``J``).  Marked :func:`stackable`
+    together with the oracle's ``grad``, it also takes stacks of points.  ``oracle`` needs only the
     method its mode calls, drawing from ``rng`` alone:
     ``gradient_batch(x, m, rng)`` or ``value_pair_batch(xs_a, xs_b, rng)``.
     In zeroth-order runs that ``rng`` is the oracle's own stream, apart

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .problems import ConstrainedProblem, RandomStream, eval_constraints
+from .problems import ConstrainedProblem, GaussianOracle, RandomStream, eval_constraints
 from .subsolvers import _prox_rows, prox_step
 
 __all__ = [
@@ -276,6 +276,47 @@ def _batch_means(batches: list, ms: list[int]) -> np.ndarray:
     return np.array([np.add.reduce(b, 0) / m for b, m in zip(batches, ms)])
 
 
+# The most bytes of noise a lockstep stack draws ahead at once: 15 rows of
+# P2's m = 60 take 18 iterations, 15 of P1's m = 70 at n = 10 three
+_BLOCK_BYTES = 1 << 18
+
+
+class _Ahead:
+    """A generator whose first normal draws were made ahead, ``drawn``:
+    ``standard_normal`` hands them out in order, then draws on, so a caller
+    gets the bits it would get from the generator alone."""
+
+    def __init__(self, rng: np.random.Generator, drawn: np.ndarray):
+        self.rng, self.drawn = rng, drawn.reshape(-1)
+
+    def standard_normal(self, size):
+        if not self.drawn.size:
+            return self.rng.standard_normal(size)
+        count = math.prod(size)
+        head, self.drawn = self.drawn[:count], self.drawn[count:]
+        if head.size < count:
+            head = np.concatenate((head, self.rng.standard_normal(count - head.size)))
+        return head.reshape(size)
+
+
+def _block_means(groups: list, t: int, g: np.ndarray, scale: float) -> np.ndarray:
+    """The batch means of iteration ``t`` of the noise blocks ``groups``
+    around the stacked gradients ``g``, as ``GaussianOracle.gradient_batch``
+    and ``_batch_mean`` form them row by row: ``noise *= scale; noise += g``,
+    then one reduction along ``m`` per distinct ``m``.  A block's slab of
+    iteration ``t``, ``(b, m, n)``, is laid out in memory as numpy reduces
+    one row's C-ordered ``(m, n)`` batch along ``m``: pairwise when ``n`` is 1
+    (the batch is one contiguous run), so ``(b, m, 1)``, and row after row
+    otherwise, so ``(m, b, n)``, which numpy sums in the same order and in
+    one inner loop per row of the batch.  The arithmetic keeps that order."""
+    means = np.empty(g.shape)
+    for m, rows, noise in groups:
+        z = np.multiply(noise[t], scale)
+        z += g[rows, None]
+        means[rows] = np.add.reduce(z, 1) / m
+    return means
+
+
 def _solve_rows(
     problem: ConstrainedProblem,
     rounds: list[tuple[float, np.ndarray, SolverBudget, RandomStream]],
@@ -285,47 +326,66 @@ def _solve_rows(
 
     Each round is a row with its own ``R`` from ``stream.child(0)``, batches
     of its own ``m`` from ``stream.child(1)``, ``rho`` and step.  The stack
-    holds the rows that take a prox step: per inner iteration, one batch and
-    one raw constraint call per row, the batch means (:func:`_batch_means`),
-    shape and finite checks once on the stacked arrays (a Jacobian that every
-    row's call returned as one object is checked once), and one
-    :func:`_prox_rows`.  A row leaves the stack only by finishing its round
-    in the scalar loop, ``_solve_inner``, from its iterate: with one
-    iteration left; all rows once at most two would stay (for them stacking
-    costs more than it saves); all rows when a draw raises, a stacked check
-    or a gap fails, each redoing that iteration from the batch it drew.
-    Entry ``i`` has the bits of ``solve_nsco_sfo`` on round ``i``, or is the
-    error that call raises, with its message.  Every round has ``rho >= 0``
-    and an ``x_init`` of shape ``(n,)``, as the penalty loop's rounds do:
-    steering has evaluated the constraints at ``x_init``, and ``rho`` is at
-    least ``rho0 + tau > 0``.
+    holds the rows that take a prox step, and an inner iteration costs the
+    same few numpy calls whatever their number when the oracle is a
+    ``GaussianOracle`` with noise and its ``grad`` and the constraints are
+    :func:`~spen.problems.stackable`: one ``grad`` and one ``constraints``
+    call on the stacked iterates, noise that each row draws from its own
+    generator in blocks of iterations (one ``(K, m, n)`` draw has the bits of
+    ``K`` draws of ``(m, n)``; ``K`` stops at the iterations the row still
+    takes in the stack, and a stack's blocks take at most ``_BLOCK_BYTES``),
+    and the batch means of :func:`_block_means`.  Any other problem draws one
+    batch and makes one raw constraint call per row (:func:`_batch_means`).
+    Either way the shape and finite checks run once on the stacked arrays (a
+    Jacobian that every row's call returned as one object, or a stacked call
+    returned as one ``(1, n)``, is checked once), and one :func:`_prox_rows`
+    takes every prox step.  A row leaves the stack only by finishing its
+    round in the scalar loop, ``_solve_inner``, from its iterate, with the
+    noise it drew ahead: with one iteration left; all rows once at most two
+    would stay; all rows when a call raises, a stacked check or a gap fails,
+    each redoing that iteration from the batch or noise it drew.  Entry
+    ``i`` has the bits of ``solve_nsco_sfo`` on round ``i``, or is the error
+    that call raises, with its message.  Every round has ``rho >= 0`` and an ``x_init`` of shape
+    ``(n,)``, as the penalty loop's rounds do: steering has evaluated the
+    constraints at ``x_init``, and ``rho`` is at least ``rho0 + tau > 0``.
     """
-    n, draw, cons = problem.n, problem.oracle.gradient_batch, problem.constraints
+    n, oracle, cons = problem.n, problem.oracle, problem.constraints
+    draw = oracle.gradient_batch
+    blocks = (type(oracle) is GaussianOracle and oracle.sigma > 0.0
+              and getattr(oracle.grad, "stackable", False) and getattr(cons, "stackable", False))
     results: list[NscoRunResult | Exception] = [None] * len(rounds)
-
-    def finish(k, rows, drawn):
-        # each round goes on from inner iteration k + 1 at its iterate, taking
-        # the batch in ahead for it if drawn; None: its draw raised, and that
-        # error is its result
-        for (r, i, m, rng, rho_i, gamma_i, x_i), ahead in zip(rows, drawn):
-            if ahead is None:
-                continue
-            try:
-                x_r, g_r = _solve_inner(problem, rho_i, x_i, gamma_i, r,
-                                        lambda x, m=m, rng=rng, ahead=ahead: np.add.reduce(
-                                            ahead.pop() if ahead else draw(x, m, rng), 0) / m,
-                                        first=k + 1)
-                results[i] = NscoRunResult(x_R=x_r, G_R=g_r, R=r, oracle_calls=m * r)
-            except Exception as err:  # what the round's own run raises
-                results[i] = err
 
     # in descending R, so the rows that go on past an iteration lead the stack
     rows = sorted(((_stop_index(budget, stream, None), i, budget.m, stream.child(1).generator(),
                     rho, budget.gamma) for i, (rho, _, budget, stream) in enumerate(rounds)),
                   key=lambda row: -row[0])
-    x = np.array([rounds[row[1]][1] for row in rows], dtype=float)
-    columns = [list(col) for col in zip(*rows)]
-    r_stop, ids, ms, rngs, rho, gamma = columns
+    r_stop, ids, ms, rngs, rho, gamma = map(list, zip(*rows))
+    x = np.array([rounds[i][1] for i in ids], dtype=float)
+    rho_all, gamma_all = np.array(rho), np.array(gamma)
+    # with blocks: each row's noise drawn ahead, the rows of each distinct m
+    # as (m, stack rows, noise), and the slot of the next iteration in them
+    ahead, groups, t = [None] * len(ids), [], 0
+    scale = oracle.sigma / math.sqrt(n) if blocks else 0.0
+
+    def finish(k, lo, drawn):
+        # stack rows lo.. go on from inner iteration k + 1 at their iterates,
+        # taking the batch in drawn (None: the draw raised, and that error is
+        # the round's result), then the noise drawn ahead, then their own draws
+        for s, batches in zip(range(lo, len(ids)), drawn):
+            if batches is None:
+                continue
+            i, r, m, rng = ids[s], r_stop[s], ms[s], rngs[s]
+            if ahead[s] is not None:
+                rng = _Ahead(rng, ahead[s][t:])
+            try:
+                x_r, g_r = _solve_inner(problem, rho[s], x[s], gamma[s], r,
+                                        lambda x, m=m, rng=rng, batches=batches: np.add.reduce(
+                                            batches.pop() if batches else draw(x, m, rng), 0) / m,
+                                        first=k + 1)
+                results[i] = NscoRunResult(x_R=x_r, G_R=g_r, R=r, oracle_calls=m * r)
+            except Exception as err:  # what the round's own run raises
+                results[i] = err
+
     k = 0  # the inner iterations every row of the stack has taken
     while True:
         live = len(ids)
@@ -334,36 +394,67 @@ def _solve_rows(
         if live <= 2:
             live = 0
         if live < len(ids):
-            finish(k, zip(*(col[live:] for col in columns), x[live:]), [[]] * (len(ids) - live))
-            for col in columns:
+            finish(k, live, [[]] * (len(ids) - live))
+            for col in (r_stop, ids, ms, rngs, rho, gamma, ahead):
                 del col[live:]
-            x = x[:live]
+            x, rho_all, gamma_all = x[:live], rho_all[:live], gamma_all[:live]
+            groups = [(m, rows[:cut], noise[:, :cut]) for m, rows, noise in groups
+                      for cut in [int(np.searchsorted(rows, live))] if cut]
         if not live:
             return results
-        batches, xs = [], list(x)
+        if blocks and (not groups or t == len(groups[0][2])):
+            # every live row has used its block: the next ones, none past
+            # the iterations the row still takes here
+            size, groups, t = max(1, _BLOCK_BYTES // (8 * n * sum(ms))), [], 0
+            for m in sorted(set(ms)):
+                stacked = [s for s in range(live) if ms[s] == m]
+                # (iteration, row, m, n), each iteration's slab in one piece
+                # and laid out as _block_means reduces it
+                noise = (np.empty((size, len(stacked), m, n)) if n == 1 else
+                         np.empty((size, m, len(stacked), n)).transpose(0, 2, 1, 3))
+                for p, s in enumerate(stacked):
+                    ahead[s] = noise[:min(size, r_stop[s] - 1 - k), p]
+                    ahead[s][...] = rngs[s].standard_normal(ahead[s].shape)
+                groups.append((m, np.array(stacked), noise))
+        batches = []
         try:
-            for x_i, m, rng in zip(xs, ms, rngs):
-                batches.append(draw(x_i, m, rng))
-            cs, jacs = zip(*map(cons, xs))
+            # the problem's own calls run under the caller's error state, as
+            # in the scalar loop
+            if blocks:
+                g = np.asarray(oracle.grad(x), dtype=float)
+                c_all, j_all = map(np.asarray, cons(x))
+            else:
+                xs = list(x)
+                for x_i, m, rng in zip(xs, ms, rngs):
+                    batches.append(draw(x_i, m, rng))
+                cs, jacs = zip(*map(cons, xs))
             # what overflows or turns NaN here fails a check
             with np.errstate(all="ignore"):
-                g_all, c_all = _batch_means(batches, ms), np.array(cs)
-                shared = all(jac is jacs[0] for jac in jacs)
-                j_all = np.asarray(jacs[0])[None] if shared else np.array(jacs)
+                if blocks:
+                    g_all = _block_means(groups, t, g, scale) if g.shape == x.shape else g
+                    shared = j_all.ndim == 2
+                else:
+                    g_all, c_all = _batch_means(batches, ms), np.array(cs)
+                    shared = all(jac is jacs[0] for jac in jacs)
+                    j_all = np.asarray(jacs[0]) if shared else np.array(jacs)
+                if shared:
+                    j_all = j_all[None]
                 # a float sum of the entries is finite only if every entry is
                 if (g_all.shape == x.shape and c_all.shape == (live, 1)
                         and j_all.shape == (1 if shared else live, 1, n)
                         and g_all.dtype == c_all.dtype == j_all.dtype == np.float64
                         and math.isfinite(sum(g_all.ravel().tolist()) + sum(c_all.ravel().tolist())
                                           + sum(j_all.ravel().tolist()))):
-                    x_plus, _, _, ok = _prox_rows(x, g_all, c_all, j_all, rho, gamma)
+                    x_plus, _, _, ok = _prox_rows(x, g_all, c_all, j_all, rho_all, gamma_all)
                     if False not in ok:
-                        x, k = x_plus, k + 1
+                        x, k, t = x_plus, k + 1, t + 1
                         continue
         except Exception as err:  # a draw's error is its round's result; any
-            if len(batches) < live:  # other is met again in the scalar loop
+            if len(batches) < live and not blocks:  # other is met again in the scalar loop
                 results[ids[len(batches)]] = err
+                batches.append(None)
         # every row redoes this iteration in the scalar loop and ends its round
-        # there; a row past the one whose draw raised draws its own batch
-        finish(k, zip(*columns, x), [[b] for b in batches] + [None] + [[]] * live)
+        # there, from the batch or the noise it drew; a row past the one whose
+        # draw raised draws its own batch
+        finish(k, 0, [None if b is None else [b] for b in batches] + [[]] * live)
         return results

@@ -90,8 +90,13 @@ def _dot(a: np.ndarray, b: np.ndarray):
     the bits of the vector alone.  Below 8 entries that order is a left-to-right
     sum from 0.0, which Python forms faster for one vector, warning of nothing."""
     if a.ndim == 1 and a.size < 8:
-        return functools.reduce(operator.add, map(operator.mul, a.tolist(), b.tolist()), 0.0)
+        return _list_dot(a.tolist(), b.tolist())
     return np.add.reduce(a * b, -1)
+
+
+def _list_dot(a: list, b: list) -> float:
+    """:func:`_dot` of two vectors below 8 entries, given as lists."""
+    return functools.reduce(operator.add, map(operator.mul, a, b), 0.0)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -301,15 +306,21 @@ def prox_step(
     if jac.shape[0] == 1:
         j = jac[0]
         c0 = float(c[0])
-        a = gamma * float(_dot(j, j))
-        b = c0 - gamma * float(_dot(j, g))
+        # _dot's products, with a short j turned into a list once
+        j_list = j.tolist() if j.ndim == 1 and j.size < 8 else None
+        if j_list is None:
+            jj, jg = float(_dot(j, j)), float(_dot(j, g))
+        else:
+            jj, jg = _list_dot(j_list, j_list), _list_dot(j_list, g.tolist())
+        a = gamma * jj
+        b = c0 - gamma * jg
         if a > 0.0:
             lam0 = min(max(b / a, -rho), rho)
         else:
             lam0 = math.copysign(rho, b) if b != 0.0 else 0.0
         p_gamma = g + lam0 * j
         d = -gamma * p_gamma
-        t = c0 + float(_dot(j, d))
+        t = c0 + (float(_dot(j, d)) if j_list is None else _list_dot(j_list, d.tolist()))
         gap = rho * abs(t) - lam0 * t
         lam = np.array([lam0])
     else:
@@ -340,41 +351,38 @@ def _prox_rows(
     g: np.ndarray,
     c: np.ndarray,
     jac: np.ndarray,
-    rho: list[float],
-    gamma: list[float],
-) -> tuple[np.ndarray, np.ndarray, list[float], list[bool]]:
+    rho,
+    gamma,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[bool]]:
     """:func:`prox_step` with one constraint row, on a stack of instances.
 
     Row ``i`` of ``x`` and ``g`` ``(B, n)``, ``c`` ``(B, 1)`` and ``jac``
-    ``(B, 1, n)``, with ``rho[i] >= 0`` and ``gamma[i] > 0``, is one call's
-    input; a ``jac`` of shape ``(1, 1, n)`` is every row's.  Returns
-    ``(x_plus, lam, gap, ok)``: ``ok[i]`` tells whether that call returns,
-    its gap within ``DEFAULT_PROX_TOL`` as ``_check_gap`` requires, and where
-    it does, row ``i`` of ``x_plus``, of ``lam`` ``(B, 1)`` and ``gap[i]``
-    have the bits of its result.  Such a call warns at most of an overflow.
-    The products are :func:`_dot`'s, row by row, and the scalars the call's
-    own float arithmetic.  Call this under ``np.errstate(all="ignore")``: a
-    row whose call would raise can overflow or produce a NaN here.
+    ``(B, 1, n)``, with ``rho[i] >= 0`` and ``gamma[i] > 0`` (sequences of
+    ``B`` floats), is one call's input; a ``jac`` of shape ``(1, 1, n)`` is
+    every row's.  Returns ``(x_plus, lam, gap, ok)``: ``ok[i]`` tells whether
+    that call returns, its gap within ``DEFAULT_PROX_TOL`` as ``_check_gap``
+    requires, and where it does, row ``i`` of ``x_plus``, of ``lam`` ``(B, 1)``
+    and ``gap[i]`` have the bits of its result.  The products are
+    :func:`_dot`'s, row by row, and the rest is the call's arithmetic on
+    arrays: ``np.where`` in the order of its ``min(max(b/a, -rho), rho)``,
+    which keeps its ties and NaNs, and ``np.copysign`` where ``a`` is 0.
+    Call this under ``np.errstate(all="ignore")``: ``b/a`` divides by zero
+    where ``a`` is 0, and a row whose call would raise can overflow or
+    produce a NaN here.
     """
     j = jac[:, 0]
-    c = c.ravel().tolist()
-    jj = _dot(j, j).tolist()
-    if len(jj) < len(c):  # one row for every call
-        jj *= len(c)
-    lam = []
-    for jj_i, jg_i, c0, r, gm in zip(jj, _dot(j, g).tolist(), c, rho, gamma):
-        a, b = gm * jj_i, c0 - gm * jg_i
-        if a > 0.0:
-            q = b / a
-            q = -r if -r > q else q  # max(q, -r)
-            lam.append(r if r < q else q)  # min(q, r)
-        else:
-            lam.append(math.copysign(r, b) if b != 0.0 else 0.0)
-    lam_col = np.array(lam).reshape(-1, 1)
-    d = np.array([-gm for gm in gamma]).reshape(-1, 1) * (g + lam_col * j)
-    t = [c0 + jd for c0, jd in zip(c, _dot(j, d).tolist())]
-    gap = [r * abs(t_i) - lam0 * t_i for t_i, lam0, r in zip(t, lam, rho)]
-    return x + d, lam_col, gap, [gap_i <= DEFAULT_PROX_TOL for gap_i in gap]
+    c, rho, gamma = c[:, 0], np.asarray(rho, dtype=float), np.asarray(gamma, dtype=float)
+    a = gamma * _dot(j, j)
+    b = c - gamma * _dot(j, g)
+    q, low = b / a, -rho
+    q = np.where(low > q, low, q)  # max(q, -rho)
+    lam = np.where(rho < q, rho, q)  # min(q, rho)
+    lam = np.where(a > 0.0, lam, np.where(b != 0.0, np.copysign(rho, b), 0.0))
+    lam = lam[:, None]
+    d = -gamma[:, None] * (g + lam * j)
+    t = c + _dot(j, d)
+    gap = rho * np.abs(t) - lam[:, 0] * t
+    return x + d, lam, gap, (gap <= DEFAULT_PROX_TOL).tolist()
 
 
 def _theta_q1(c: np.ndarray, jac: np.ndarray) -> BallSubproblemResult:

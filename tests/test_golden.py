@@ -38,7 +38,7 @@ RUNS = {
                      TestProblemSpec("P2", sigma=0.1), PenaltyConfig(0.4, max_outer=3), 7, None),
     "P2 SFO study": ("p2_sfo_study.csv", "5392be15e0e0dbd738ff81a3a6cb772f48491149",
                      TestProblemSpec("P2", sigma=0.1), PenaltyConfig(0.9, max_outer=2), 0, 30),
-    "P3 SFO solve": ("p3_sfo_solve.csv", "09cabe69e2bbb0ed1827acc19a2d364a584d3eea",
+    "P3 SFO solve": ("p3_sfo_solve.csv", "a37665f9253267394fc1cc305d5aab3290ee3082",
                      TestProblemSpec("P3", sigma=0.1), PenaltyConfig(0.9, max_outer=2), 7, None),
     "P1 n=10 SFO solve": ("p1_n10_sfo_solve.csv", "20109ef6e7926e93e62aa2ec28c707c5b461be6a",
                           TestProblemSpec("P1", sigma=0.1), PenaltyConfig(0.9, max_outer=2),

@@ -32,6 +32,7 @@ from spen import (
     monte_carlo,
     read_records,
     slope_fit,
+    stackable,
     write_records,
 )
 from test_penalty import _two_constraint_problem
@@ -421,30 +422,128 @@ class _GroupingOracle(GaussianOracle):
         return batch
 
 
-# case: (family, n, rounds, uniform noise); P3 as in the test above
+# case: (family, n, rounds, noise source); P3 as in the test above. The
+# "gaussian" and "uniform" cases draw through _GroupingOracle, one batch per
+# replication and iteration; the "blocks" cases keep the plain GaussianOracle
+# and the family's stackable callables, so that their stacks take the noise
+# in blocks and call grad and constraints once per iteration
 _GROUPING_CASES = {
-    "P1 n=1": ("P1", 1, 2, False), "P1 n=2": ("P1", 2, 2, False), "P1 n=3": ("P1", 3, 2, False),
-    "P2": ("P2", None, 2, False), "P3": ("P3", None, 1, False),
-    "DEBUG-BADJAC": ("DEBUG-BADJAC", None, 2, False), "P2 uniform": ("P2", None, 2, True),
+    "P1 n=1": ("P1", 1, 2, "gaussian"), "P1 n=2": ("P1", 2, 2, "gaussian"),
+    "P1 n=3": ("P1", 3, 2, "gaussian"), "P2": ("P2", None, 2, "gaussian"),
+    "P3": ("P3", None, 1, "gaussian"), "DEBUG-BADJAC": ("DEBUG-BADJAC", None, 2, "gaussian"),
+    "P2 uniform": ("P2", None, 2, "uniform"),
+    "P1 n=1 blocks": ("P1", 1, 2, "blocks"), "P1 n=3 blocks": ("P1", 3, 2, "blocks"),
+    "P1 n=10 blocks": ("P1", 10, 2, "blocks"), "P2 blocks": ("P2", None, 2, "blocks"),
+    "P3 blocks": ("P3", None, 1, "blocks"),
 }
 
 
-def _grouping_problem(case, fail=None):
-    family, n, _, uniform = _GROUPING_CASES[case]
+def _family_problem(case):
+    family, n, _, _ = _GROUPING_CASES[case]
     prob = build_problem(TestProblemSpec(family, n=n, sigma=0.03 if family == "P3" else 0.1))
     if family == "P3":
         prob = dataclasses.replace(prob, constants=dataclasses.replace(
             prob.constants, kappa_f=0.1, kappa_c=0.05, f_low=0.0))
-    return dataclasses.replace(prob, oracle=_GroupingOracle(prob.oracle, uniform, fail))
+    return prob
+
+
+def _stacked_callables(prob, target=None):
+    """``prob`` with its ``grad`` and ``constraints`` wrapped, still
+    stackable: the wrappers count their calls on a stack of points in the
+    new ``grad``'s ``stacked_calls``, and ``target = (point, callable,
+    kind)`` makes that callable raise (``kind`` "raise") or answer NaN at
+    ``point``, alone or as a row of a stack."""
+    grad, cons = prob.oracle.grad, prob.constraints
+
+    def hit(name, x):
+        # the rows of x at the target point, if this is its callable
+        if target is None or target[1] != name:
+            return None
+        rows = np.all(x == target[0], axis=-1)
+        if not rows.any():
+            return None
+        if target[2] == "raise":
+            raise DomainError(f"synthetic failure in {name}")
+        return rows
+
+    @stackable
+    def counted_grad(x):
+        if x.ndim == 2:
+            counted_grad.stacked_calls += 1
+        out, rows = np.array(grad(x), dtype=float), hit("grad", x)
+        if rows is not None:
+            out[rows] = np.nan
+        return out
+
+    @stackable
+    def counted_cons(x):
+        if x.ndim == 2:
+            counted_grad.stacked_calls += 1
+        (c, jac), rows = cons(x), hit("constraints", x)
+        if rows is not None:
+            c = np.array(c, dtype=float)
+            c[rows] = np.nan
+        return c, jac
+
+    counted_grad.stacked_calls = 0
+    oracle = GaussianOracle(prob.oracle.value, counted_grad, prob.oracle.sigma)
+    return dataclasses.replace(prob, oracle=oracle, constraints=counted_cons)
+
+
+@functools.cache
+def _points_alone(case, rep, name):
+    """The points at which replication ``rep``'s own run calls ``name`` in
+    each round (with the steering before the next round), in order."""
+    prob, rounds = _stacked_callables(_family_problem(case)), []
+    inner = prob.oracle.grad if name == "grad" else prob.constraints
+
+    @stackable
+    def recorded(x):
+        if rounds:
+            rounds[-1].append(x.copy())
+        return inner(x)
+
+    if name == "grad":
+        prob = dataclasses.replace(prob, oracle=GaussianOracle(
+            prob.oracle.value, recorded, prob.oracle.sigma))
+    else:
+        prob = dataclasses.replace(prob, constraints=recorded)
+    solve = spen.penalty.solve_nsco_sfo
+    spen.penalty.solve_nsco_sfo = lambda *args: rounds.append([]) or solve(*args)
+    try:
+        _run_alone_problem(case, prob, rep)
+    finally:
+        spen.penalty.solve_nsco_sfo = solve
+    return rounds
+
+
+def _grouping_problem(case, fail=None):
+    prob = _family_problem(case)
+    if _GROUPING_CASES[case][3] != "blocks":
+        return dataclasses.replace(prob, oracle=_GroupingOracle(
+            prob.oracle, _GROUPING_CASES[case][3] == "uniform", fail))
+    target = None
+    if fail is not None:
+        # the t-th call of that round, unless every replication makes it
+        rep, k, t, kind, name = fail
+        points = _points_alone(case, rep, name)
+        if k <= len(points) and t <= len(points[k - 1]):
+            point = points[k - 1][t - 1]
+            if not np.array_equal(point, prob.x_init):
+                target = (point, name, kind)
+    return _stacked_callables(prob, target)
+
+
+def _run_alone_problem(case, prob, rep):
+    config = PenaltyConfig(epsilon=0.9, max_outer=_GROUPING_CASES[case][2] + 1)
+    try:
+        return spen.penalty.run_penalty(prob, config, RandomStream(5).child(rep), rep)
+    except SpenError as err:
+        return err
 
 
 def _run_alone(case, rep, fail=None):
-    config = PenaltyConfig(epsilon=0.9, max_outer=_GROUPING_CASES[case][2] + 1)
-    try:
-        return spen.penalty.run_penalty(_grouping_problem(case, fail), config,
-                                        RandomStream(5).child(rep), rep)
-    except SpenError as err:
-        return err
+    return _run_alone_problem(case, _grouping_problem(case, fail), rep)
 
 
 @functools.cache
@@ -460,17 +559,37 @@ def _groupings(draw):
     order = draw(st.permutations(range(30)))
     cuts = sorted(draw(st.sets(st.integers(1, 29), max_size=8)))
     groups = [order[i:j] for i, j in zip([0] + cuts, cuts + [30])]
+    # with blocks, the failure is the problem's own grad or constraints at
+    # the point of that call
     fail = draw(st.none() | st.tuples(st.integers(0, 29), st.integers(1, _GROUPING_CASES[case][2]),
-                                      st.integers(1, 12), st.sampled_from(["raise", "nan"])))
+                                      st.integers(1, 12), st.sampled_from(["raise", "nan"]),
+                                      st.sampled_from(["grad", "constraints"])))
     return case, groups, fail
 
 
-@settings(max_examples=16, deadline=None, derandomize=True)
+@settings(max_examples=24, deadline=None, derandomize=True)
 @given(_groupings())
 def test_lockstep_grouping_keeps_each_runs_bits(grouping):
     # however the replications are grouped, and in whatever order the groups
     # and their members run, each one's result or error is run_penalty's
-    case, groups, fail = grouping
+    _check_grouping(*grouping)
+
+
+@pytest.mark.parametrize("case, fail", [
+    ("P2 blocks", (7, 1, 5, "nan", "grad")), ("P2 blocks", (7, 2, 9, "raise", "constraints")),
+    ("P1 n=1 blocks", (3, 1, 6, "raise", "grad")),
+    ("P1 n=10 blocks", (11, 2, 4, "nan", "constraints")),
+    ("P3 blocks", (20, 1, 7, "nan", "grad")), ("P1 n=3 blocks", (0, 2, 3, "raise", "grad"))])
+def test_lockstep_block_path_keeps_each_runs_bits_when_a_call_fails_mid_block(case, fail):
+    # the problem's own grad or constraints fails for one replication at an
+    # inner iteration inside a noise block: the stack hands every row's
+    # noise to the scalar loop, and each run still has run_penalty's bits
+    assert isinstance(_run_alone(case, fail[0], fail), DomainError)
+    stacked = [5, 29, 0, 17, fail[0]]
+    _check_grouping(case, [stacked, [rep for rep in range(30) if rep not in stacked]], fail)
+
+
+def _check_grouping(case, groups, fail):
     want = list(_runs_alone(case))
     if fail is not None:
         want[fail[0]] = _run_alone(case, fail[0], fail)
@@ -488,6 +607,8 @@ def test_lockstep_grouping_keeps_each_runs_bits(grouping):
             assert res.state.x.tobytes() == ref.state.x.tobytes()
             assert res.state.G.tobytes() == ref.state.G.tobytes()
             assert res.certificate.lam.tobytes() == ref.certificate.lam.tobytes()
+    if _GROUPING_CASES[case][3] == "blocks":  # some group of three or more stacked
+        assert prob.oracle.grad.stacked_calls > 0
 
 
 def _count_outer_loops(monkeypatch) -> list[int]:
@@ -570,8 +691,8 @@ def _grouped_study_case(case: str):
 
 @pytest.mark.parametrize("case", ["P1 SZO", "Q2"])
 def test_lockstep_groups_run_szo_and_q2_studies_with_the_reference_bits(case, monkeypatch):
-    # the study runs as one group through the outer driver, which solves each
-    # round once per replication, never stacked; substituting run_penalty
+    # each replication runs as its own group through the outer driver, which
+    # solves each round once, never stacked; substituting run_penalty
     # gives the reference, one run_penalty per replication through monte_carlo
     prob, config, seed = _grouped_study_case(case)
     solver = "solve_nsco_szo" if config.oracle_mode == "szo" else "solve_nsco_sfo"
@@ -586,12 +707,12 @@ def test_lockstep_groups_run_szo_and_q2_studies_with_the_reference_bits(case, mo
     # the same bits without the draw thread, which slows P1 n=1's small batches
     monkeypatch.setattr(szo, "_spare_cpu", lambda: False)
     grouped = harness.run_study(prob, config, 30, RandomStream(seed))
-    assert groups == [list(range(30))]
+    assert groups == [[rep] for rep in range(30)]
     assert len(solves) == len(grouped.records) >= 30
     own = harness.run_penalty
     monkeypatch.setattr(harness, "run_penalty", lambda *args, **kwargs: own(*args, **kwargs))
     reference = harness.run_study(prob, config, 30, RandomStream(seed))
-    assert groups == [list(range(30))]
+    assert groups == [[rep] for rep in range(30)]
     assert grouped.mc.failures == reference.mc.failures == []
     assert grouped.records == reference.records
     for got, want in zip(grouped.mc.values.values(), reference.mc.values.values()):
@@ -600,6 +721,29 @@ def test_lockstep_groups_run_szo_and_q2_studies_with_the_reference_bits(case, mo
         assert got.certificate.lam.tobytes() == want.certificate.lam.tobytes()
     assert grouped.mc.estimates == reference.mc.estimates
     assert grouped.certificate.lam.tobytes() == reference.certificate.lam.tobytes()
+
+
+@pytest.mark.parametrize("case", ["P1 SZO", "Q2"])
+def test_a_pooled_study_that_does_not_stack_takes_one_replication_per_task(case, monkeypatch):
+    # on a pool of two workers a study whose rounds never stack hands out one
+    # replication per task, taken as a worker finishes the last, where a
+    # stacking study hands each worker one group; the bits are those of the
+    # study in this process
+    prob, config, seed = _grouped_study_case(case)
+    monkeypatch.setattr(szo, "_spare_cpu", lambda: False)
+    monkeypatch.setattr(harness, "_worker_count", lambda reps: 1)
+    alone = harness.run_study(prob, config, 30, RandomStream(seed))
+    tasks = []
+    monkeypatch.setattr(harness, "_worker_count", lambda reps: 2)
+    monkeypatch.setattr(harness, "_pool_map", lambda task, items, workers: tasks.append(
+        (items, workers)) or [task(item) for item in items])
+    pooled = harness.run_study(prob, config, 30, RandomStream(seed))
+    assert tasks == [([[rep] for rep in range(30)], 2)]
+    assert pooled.records == alone.records and pooled.mc.estimates == alone.mc.estimates
+    assert pooled.certificate.lam.tobytes() == alone.certificate.lam.tobytes()
+    p2 = build_problem(TestProblemSpec("P2", sigma=0.1))
+    harness.run_study(p2, PenaltyConfig(epsilon=0.9, max_outer=2), 30, RandomStream(seed))
+    assert tasks[1] == ([list(range(0, 30, 2)), list(range(1, 30, 2))], 2)
 
 
 class _TypeErrorAt7(GaussianOracle):

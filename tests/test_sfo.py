@@ -27,6 +27,7 @@ from spen import (
     sfo_stationarity_bound,
     solve_nsco_sfo,
     solve_nsco_szo,
+    stackable,
     stopping_pmf,
 )
 from spen import sfo
@@ -423,3 +424,101 @@ def test_solve_rows_keep_the_bits_of_float32_batches():
         assert got[i].x_R.tobytes() == want.x_R.tobytes()
         assert got[i].G_R.dtype == want.G_R.dtype
         assert got[i].G_R.tobytes() == want.G_R.tobytes()
+
+
+@pytest.mark.parametrize("family, n", [("P1", 1), ("P1", 10), ("P3", None)])
+def test_solve_rows_draw_noise_in_blocks_with_the_bits_of_each_run(family, n, monkeypatch):
+    # the plain GaussianOracle and the family's stackable callables: the stack
+    # calls grad on all rows at once and each row draws its noise in blocks,
+    # of several sizes of m at once, refilled many times at n = 10 (the block
+    # bytes are capped); every row keeps its run's bits, and its generator
+    # ends where R draws of (m, n) leave it, having drawn no batch twice
+    base = build_problem(TestProblemSpec(family, n=n, sigma=0.1))
+    grad, stacked = base.oracle.grad, []
+
+    @stackable
+    def counted(x):
+        stacked.append(x.ndim == 2)
+        return grad(x)
+
+    prob = replace(base, oracle=GaussianOracle(base.oracle.value, counted, sigma=0.1))
+    dim = prob.n
+    rounds = [(1.0 + i, base.x_init + 0.05 * i,
+               SolverBudget(n_bar=150 * (7, 40, 300)[i % 3], m=(7, 40, 300)[i % 3],
+                            gamma=0.02 + 0.005 * i, L=20.0), RandomStream(9, (i,)))
+              for i in range(8)]
+    made, generator = {}, RandomStream.generator
+    monkeypatch.setattr(RandomStream, "generator",
+                        lambda self: made.setdefault(self.path, generator(self)))
+    got = sfo._solve_rows(prob, rounds)
+    monkeypatch.undo()
+    assert any(stacked)
+    for i, (rho, x_init, budget, stream) in enumerate(rounds):
+        want = solve_nsco_sfo(prob, rho, x_init, budget, stream)
+        assert (got[i].R, got[i].oracle_calls) == (want.R, want.oracle_calls)
+        assert got[i].x_R.tobytes() == want.x_R.tobytes()
+        assert got[i].G_R.tobytes() == want.G_R.tobytes()
+        rng = stream.child(1).generator()
+        for _ in range(want.R):
+            rng.standard_normal((budget.m, dim))
+        assert made[stream.child(1).path].bit_generator.state == rng.bit_generator.state
+
+
+def test_solve_rows_block_path_calls_the_problem_under_the_callers_error_state():
+    # P2's grad, stackable, computes a term that underflows at more than 0.1
+    # from x_star and discards it: under np.errstate(under="raise") a run
+    # raises FloatingPointError if it ever steps that far, and a stacked call
+    # raises it just as the run's own call does: round 2, which starts that
+    # far out and ends closer in, fails as its run fails
+    base = build_problem(TestProblemSpec("P2", sigma=0.1))
+    grad, x_star, stacked = base.oracle.grad, base.known_solution.x_star, []
+
+    @stackable
+    def far_underflows(x):
+        stacked.append(x.ndim == 2)
+        np.exp(-74500.0 * (x[..., 0] - x_star[0]) ** 2)
+        return grad(x)
+
+    prob = replace(base, oracle=GaussianOracle(base.oracle.value, far_underflows, sigma=0.1))
+    rounds = [(2.0 + i, x_star + 0.05 * i * np.array([1.0, -1.0]),
+               SolverBudget(n_bar=6000, m=40, gamma=0.0005, L=20.0), RandomStream(9, (i,)))
+              for i in range(8)]
+    with np.errstate(under="raise"):
+        got = sfo._solve_rows(prob, rounds)
+        wants = []
+        for rho, x_init, budget, stream in rounds:
+            try:
+                wants.append(solve_nsco_sfo(prob, rho, x_init, budget, stream))
+            except FloatingPointError as err:
+                wants.append(err)
+    assert any(stacked)
+    assert [type(w).__name__ for w in wants] == ["NscoRunResult"] * 2 + ["FloatingPointError"] * 6
+    for got_i, want in zip(got, wants):
+        assert type(got_i) is type(want)
+        if isinstance(want, Exception):
+            assert str(got_i) == str(want)
+        else:
+            assert got_i.x_R.tobytes() == want.x_R.tobytes()
+            assert got_i.G_R.tobytes() == want.G_R.tobytes()
+
+
+@pytest.mark.parametrize("family, n", [("P1", 1), ("P1", 3), ("P1", 10), ("P2", None),
+                                       ("P3", None), ("ROSEN-EQ", None), ("DEBUG-BADJAC", None)])
+def test_stackable_callables_answer_a_stack_with_the_bits_of_each_point(family, n):
+    # each built-in family declares grad and constraints stackable; on a stack
+    # of points, row i of what they return has the bits of the call on point i
+    prob = build_problem(TestProblemSpec(family, n=n, sigma=0.1))
+    grad, cons = prob.oracle.grad, prob.constraints
+    assert grad.stackable and cons.stackable
+    rng = np.random.default_rng(4)
+    xs = rng.uniform(-2.0, 2.0, (9, prob.n)) * 10.0 ** rng.integers(-3, 3, (9, prob.n))
+    xs[0], xs[1] = 0.0, -0.0
+    c_all, jac_all = cons(xs)
+    g_all = grad(xs)
+    assert g_all.shape == xs.shape and c_all.shape == (9, 1)
+    assert jac_all.shape in ((1, prob.n), (9, 1, prob.n))
+    for i, x in enumerate(xs):
+        c, jac = cons(x)
+        assert np.asarray(grad(x), dtype=float).tobytes() == g_all[i].tobytes()
+        assert c.tobytes() == c_all[i].tobytes()
+        assert jac.tobytes() == (jac_all if jac_all.ndim == 2 else jac_all[i]).tobytes()
